@@ -265,12 +265,24 @@ def test_e6_proc_shm_heavy_payload_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Proc mode, nested tasks: the bottom-up scheduling plane vs the
-# driver-funneled dispatch loop (the acceptance microbenchmark)
+# Proc mode, nested tasks: the bottom-up scheduling plane against the
+# driver-funneled dispatch loop it replaced (the acceptance microbenchmark)
 # ----------------------------------------------------------------------
 
 NESTED_SPAWNERS = 2
 NESTED_PER_SPAWNER = 100
+
+#: The driver-funneled dispatch loop on this exact storm, frozen when
+#: that loop was deleted: best of three best-of-two runs on a 2-core
+#: x86-64 Linux host (1,756 / 1,642 / 1,750 tasks/s; 370 / 438 / 408 us
+#: per nested submit).  Every nested ``.remote()`` cost one driver round
+#: trip there; the bottom-up plane is gated against these numbers.
+DRIVER_NESTED_THROUGHPUT = 1756.0  # tasks/s
+DRIVER_NESTED_SUBMIT_LATENCY = 370e-6  # seconds per nested submit
+
+#: Ceiling on one empty driver-born task's end-to-end time on an idle
+#: pool (the idle-latency bound of the former proc dispatch ablation).
+IDLE_TASK_LATENCY_CEILING = 0.05  # seconds
 
 
 @repro.remote
@@ -281,9 +293,8 @@ def nested_noop():
 @repro.remote
 def nested_timed_spawner(count):
     """Worker-born fan-out that measures its own submission cost: the
-    time per nested ``.remote()`` as seen from inside the task body —
-    one driver round trip each in driver mode, a local enqueue plus a
-    one-way notice in bottom-up mode."""
+    time per nested ``.remote()`` as seen from inside the task body — a
+    local enqueue plus a one-way notice on the fast path."""
     import time as _time
 
     start = _time.perf_counter()
@@ -291,13 +302,18 @@ def nested_timed_spawner(count):
     return refs, _time.perf_counter() - start
 
 
-def _nested_storm(dispatch_mode: str) -> dict:
-    repro.init(backend="proc", num_workers=2, dispatch_mode=dispatch_mode)
+def _nested_storm() -> dict:
+    repro.init(backend="proc", num_workers=2)
     try:
         # Warm the pool and both sides' per-function code caches.
         repro.get(
             [nested_timed_spawner.remote(3) for _ in range(2)], timeout=120.0
         )
+        # Latency probe (R1): one empty task end-to-end on an idle pool.
+        t0 = time.perf_counter()
+        repro.get(nested_noop.remote(), timeout=120.0)
+        idle_latency = time.perf_counter() - t0
+
         start = time.perf_counter()
         results = repro.get(
             [nested_timed_spawner.remote(NESTED_PER_SPAWNER)
@@ -317,73 +333,82 @@ def _nested_storm(dispatch_mode: str) -> dict:
         "elapsed": elapsed,
         "throughput": total / elapsed,
         "submit_latency": submit_latency,
+        "idle_latency": idle_latency,
         "sched": sched,
     }
 
 
-def test_e6_proc_nested_bottom_up_beats_driver_dispatch(benchmark):
+def test_e6_proc_nested_storm_beats_frozen_driver_dispatch(benchmark):
     """The scheduling-plane acceptance gate: worker-born tasks with
-    locally resident args must be >= 2x better under bottom-up dispatch
-    than under driver dispatch, in submission latency or end-to-end
-    nested throughput (typically both: the fast path deletes one driver
-    round trip per submission and local execution deletes another per
-    dispatch)."""
+    locally resident args must not lose to the frozen driver-dispatch
+    figures on either axis, and must beat them >= 2x on at least one —
+    nested throughput or submission latency (typically both: the fast
+    path deletes one driver round trip per submission and local
+    execution deletes another per dispatch)."""
 
-    def run_sweep():
-        # Best of two rounds per mode: single-core CI runners schedule
-        # the driver and both workers on one CPU, which makes a single
-        # round noisy in either direction.
-        best = {}
-        for name in ("driver", "bottom_up"):
-            rounds = [_nested_storm(name) for _ in range(2)]
-            chosen = dict(min(rounds, key=lambda r: r["elapsed"]))
-            chosen["submit_latency"] = min(r["submit_latency"] for r in rounds)
-            best[name] = chosen
+    def run_best_of_two():
+        # Best of two rounds: single-core CI runners schedule the driver
+        # and both workers on one CPU, which makes a single round noisy.
+        rounds = [_nested_storm() for _ in range(2)]
+        best = dict(min(rounds, key=lambda r: r["elapsed"]))
+        best["submit_latency"] = min(r["submit_latency"] for r in rounds)
+        best["idle_latency"] = min(r["idle_latency"] for r in rounds)
         return best
 
-    sweep = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_best_of_two, rounds=1, iterations=1)
 
-    rows = [
-        (
-            name,
-            result["tasks"],
-            f"{result['elapsed'] * 1e3:.1f} ms",
-            f"{result['throughput']:,.0f} tasks/s",
-            f"{result['submit_latency'] * 1e6:.0f} us",
-            result["sched"]["tasks_placed_local"],
-            result["sched"]["tasks_stolen"],
-        )
-        for name, result in sweep.items()
-    ]
     print_table(
         f"E6: nested-task storm ({NESTED_SPAWNERS} spawners x "
-        f"{NESTED_PER_SPAWNER} children), dispatch-mode ablation",
+        f"{NESTED_PER_SPAWNER} children, 2 workers)",
         ["dispatch", "tasks", "makespan", "throughput", "submit latency",
-         "placed local", "stolen"],
-        rows,
+         "idle task", "placed local", "stolen"],
+        [
+            (
+                "driver (frozen)",
+                result["tasks"],
+                "",
+                f"{DRIVER_NESTED_THROUGHPUT:,.0f} tasks/s",
+                f"{DRIVER_NESTED_SUBMIT_LATENCY * 1e6:.0f} us",
+                "",
+                "",
+                "",
+            ),
+            (
+                "bottom_up",
+                result["tasks"],
+                f"{result['elapsed'] * 1e3:.1f} ms",
+                f"{result['throughput']:,.0f} tasks/s",
+                f"{result['submit_latency'] * 1e6:.0f} us",
+                f"{result['idle_latency'] * 1e3:.2f} ms",
+                result["sched"]["tasks_placed_local"],
+                result["sched"]["tasks_stolen"],
+            ),
+        ],
     )
-    throughput_gain = (
-        sweep["bottom_up"]["throughput"] / sweep["driver"]["throughput"]
-    )
-    latency_gain = (
-        sweep["driver"]["submit_latency"] / sweep["bottom_up"]["submit_latency"]
-    )
-    print(f"bottom_up vs driver: {throughput_gain:.2f}x throughput, "
+    throughput_gain = result["throughput"] / DRIVER_NESTED_THROUGHPUT
+    latency_gain = DRIVER_NESTED_SUBMIT_LATENCY / result["submit_latency"]
+    print(f"bottom_up vs frozen driver: {throughput_gain:.2f}x throughput, "
           f"{latency_gain:.2f}x submission latency")
     benchmark.extra_info.update(
         {
-            "throughput_gain": round(throughput_gain, 2),
-            "submit_latency_gain": round(latency_gain, 2),
+            "nested_tasks_per_s": round(result["throughput"]),
+            "nested_submit_us": round(result["submit_latency"] * 1e6, 1),
+            "idle_task_ms": round(result["idle_latency"] * 1e3, 2),
         }
     )
     emit_bench_json("e6", dict(benchmark.extra_info))
     # The fast path really ran (zero driver round-trips per child; the
     # warm-up fan-outs ride it too, hence >=)...
     assert (
-        sweep["bottom_up"]["sched"]["tasks_placed_local"]
+        result["sched"]["tasks_placed_local"]
         >= NESTED_SPAWNERS * NESTED_PER_SPAWNER
     )
-    # ...and nested-task performance must not regress in either axis...
+    # ...an idle driver-born task stays cheap...
+    assert result["idle_latency"] < IDLE_TASK_LATENCY_CEILING, (
+        "bottom-up must not regress idle single-task latency materially"
+    )
+    # ...nested-task performance must not lose to driver dispatch on
+    # either axis...
     assert throughput_gain >= 1.0 and latency_gain >= 1.0
     # ...with the acceptance bar (>= 2x) cleared on at least one.
     assert max(throughput_gain, latency_gain) >= 2.0, (

@@ -93,10 +93,8 @@ successor systems' extensions (6–8):
    >>> repro.shutdown()                 # unlinks every shm segment
 
 10. scheduling is **hybrid and bottom-up** (:mod:`repro.sched_plane`,
-    the paper's Section 3.2.2 on real processes): with
-    ``dispatch_mode="bottom_up"`` (the ``proc`` default; ``"driver"``
-    keeps the fully driver-mediated loop selectable for ablation) every
-    worker owns a local task queue — a nested ``.remote()`` whose
+    the paper's Section 3.2.2 on real processes): on ``proc`` and
+    ``dist`` every worker owns a local task queue — a nested ``.remote()`` whose
     dependencies are already resident on the submitting worker enqueues
     *to that worker itself* with zero driver round-trips, acked
     asynchronously for lineage — while the driver is the global tier:
@@ -105,11 +103,10 @@ successor systems' extensions (6–8):
     idle-worker work stealing, so a fan-out born on one worker still
     spreads across the pool.  Cancellation, ``num_returns``, named
     actors, fault tolerance, and the whole parity matrix are identical
-    in both modes; ``stats()["sched"]`` counts where tasks went:
+    to the other backends; ``stats()["sched"]`` counts where tasks went:
 
     >>> import repro
-    >>> runtime = repro.init(backend="proc", num_workers=2,
-    ...                      dispatch_mode="bottom_up")
+    >>> runtime = repro.init(backend="proc", num_workers=2)
     >>> @repro.remote
     ... def leaf(x):
     ...     return x + 1

@@ -67,13 +67,12 @@ class BackendCapabilities:
         back to its byte path on hosts without POSIX shm or when
         initialized with ``shm_capacity=0``.
     ``bottom_up_scheduling``
-        The backend implements the real two-level scheduling plane
-        (:mod:`repro.sched_plane`): ``init(dispatch_mode="bottom_up")``
-        gives workers local task queues with a zero-round-trip nested
-        submission fast path, locality-aware driver-tier spillover
-        placement, and idle-worker work stealing;
-        ``dispatch_mode="driver"`` keeps the fully driver-mediated
-        dispatch loop selectable for ablation.
+        The backend dispatches through the real two-level scheduling
+        plane (:mod:`repro.sched_plane`): workers own local task queues
+        with a zero-round-trip nested submission fast path, the driver
+        tier places driver-born and spilled work locality-aware, and
+        idle workers steal.  Backends without it place every task
+        globally.
     """
 
     true_parallelism: bool = False
@@ -115,9 +114,7 @@ class Backend(Protocol):
         kwargs: dict,
         options: Optional[TaskOptions] = None,
     ) -> Any: ...
-    # (returns one ObjectRef, or a tuple of num_returns refs; the
-    # per-kwarg legacy form every runtime still accepts is a deprecated
-    # shim over options=TaskOptions(...), see core.task.resolve_task_options)
+    # (returns one ObjectRef, or a tuple of num_returns refs)
 
     def get(self, refs: Any, timeout: Optional[float] = None) -> Any: ...
 
@@ -288,9 +285,7 @@ register_backend(
     _load_sim,
     BackendCapabilities(virtual_time=True, fault_injection=True),
 )
-register_backend(
-    "local", _load_local, BackendCapabilities(bottom_up_scheduling=True)
-)
+register_backend("local", _load_local, BackendCapabilities())
 register_backend(
     "proc",
     _load_proc,

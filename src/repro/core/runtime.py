@@ -38,7 +38,6 @@ from repro.core.task import (
     ResourceRequest,
     TaskSpec,
     TaskState,
-    _UNSET,
     build_task_spec,
     resolve_task_options,
 )
@@ -280,24 +279,15 @@ class SimRuntime:
         args: tuple = (),
         kwargs: Optional[dict] = None,
         options: Any = None,
-        resources: Optional[ResourceRequest] = None,
-        duration: Any = _UNSET,
-        placement_hint: Any = _UNSET,
-        max_reconstructions: Optional[int] = None,
     ) -> Any:
         """Create and submit a task; returns its future(s) immediately.
 
         All per-invocation configuration rides in ``options``
-        (:class:`~repro.core.task.TaskOptions`); the per-kwarg form is a
-        deprecated shim.  ``num_returns=k`` options make this return a
-        tuple of k refs instead of one.
+        (:class:`~repro.core.task.TaskOptions`).  ``num_returns=k``
+        options make this return a tuple of k refs instead of one.
         """
         self._check_open()
-        options = resolve_task_options(
-            options, resources=resources, duration=duration,
-            placement_hint=placement_hint,
-            max_reconstructions=max_reconstructions,
-        )
+        options = resolve_task_options(options)
         check_cluster_feasible(self.cluster, options.resources, function_name)
         context = self.current_worker_context()
         spec = build_task_spec(

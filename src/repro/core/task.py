@@ -8,17 +8,11 @@ needs to *re*-run the task during lineage replay after a failure (R6).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.object_ref import ObjectRef
 from repro.utils.ids import FunctionID, NodeID, ObjectID, TaskID
-
-#: Sentinel distinguishing "not passed" from an explicit None in the
-#: deprecated per-kwarg submission shim.
-_UNSET = object()
-
 
 class TaskState:
     """Lifecycle states recorded in the task table."""
@@ -162,61 +156,17 @@ class TaskOptions(OptionsBase):
             )
 
 
-def resolve_task_options(
-    options: Any = None,
-    *,
-    resources: Optional[ResourceRequest] = None,
-    duration: Any = _UNSET,
-    placement_hint: Any = _UNSET,
-    max_reconstructions: Optional[int] = None,
-) -> TaskOptions:
-    """Normalize a ``submit_task`` call into one :class:`TaskOptions`.
-
-    The canonical path passes ``options=TaskOptions(...)``.  The legacy
-    per-kwarg form (``resources=``, ``duration=``, ...) — and the even
-    older positional form, where a :class:`ResourceRequest` lands in the
-    ``options`` slot — is accepted as a deprecated shim that builds the
-    equivalent ``TaskOptions`` under a :class:`DeprecationWarning`.
-    """
-    if isinstance(options, ResourceRequest):  # legacy positional resources
-        resources, options = options, None
-    legacy_used = (
-        resources is not None
-        or duration is not _UNSET
-        or placement_hint is not _UNSET
-        or max_reconstructions is not None
-    )
-    if options is not None:
-        if not isinstance(options, TaskOptions):
-            raise TypeError(
-                f"submit_task options must be a TaskOptions, got "
-                f"{type(options).__name__}"
-            )
-        if legacy_used:
-            raise TypeError(
-                "pass submission options either as options=TaskOptions(...) "
-                "or as legacy kwargs, not both"
-            )
-        return options
-    if legacy_used:
-        warnings.warn(
-            "per-kwarg submit_task options (resources=, duration=, "
-            "placement_hint=, max_reconstructions=) are deprecated; pass "
-            "options=TaskOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
+def resolve_task_options(options: Any = None) -> TaskOptions:
+    """The one :class:`TaskOptions` a ``submit_task`` call runs with
+    (``None`` means all defaults)."""
+    if options is None:
+        return TaskOptions()
+    if not isinstance(options, TaskOptions):
+        raise TypeError(
+            f"submit_task options must be a TaskOptions, got "
+            f"{type(options).__name__}"
         )
-    overrides: dict[str, Any] = {}
-    if resources is not None:
-        overrides["num_cpus"] = resources.num_cpus
-        overrides["num_gpus"] = resources.num_gpus
-    if duration is not _UNSET:
-        overrides["duration"] = duration
-    if placement_hint is not _UNSET:
-        overrides["placement_hint"] = placement_hint
-    if max_reconstructions is not None:
-        overrides["max_reconstructions"] = max_reconstructions
-    return TaskOptions().merged(**overrides)
+    return options
 
 
 @dataclass

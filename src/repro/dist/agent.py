@@ -318,9 +318,8 @@ class NodeAgent:
             args=(
                 child_conn, global_index, config["seed"],
                 config["worker_cache_bytes"], self.shm is not None,
-                config["inline_threshold"], config["dispatch_mode"],
-                spawn_token, config["spillover_policy"],
-                config.get("tracing", False),
+                config["inline_threshold"], spawn_token,
+                config["spillover_policy"], config.get("tracing", False),
             ),
             name=f"repro-dist-worker-{self.node_index}-{channel}",
             daemon=True,
@@ -429,12 +428,11 @@ class NodeAgent:
             return
         elif tag == msg.GET:
             slot.pending.append((tag, list(message[1])))
-        elif tag in (msg.DONE, msg.RESULT):
-            blob_index = 2 if tag == msg.DONE else 1
+        elif tag == msg.DONE:
             message = (
-                message[:blob_index]
-                + (self._seal_result_blobs(message[blob_index]),)
-                + message[blob_index + 1:]
+                message[:2]
+                + (self._seal_result_blobs(message[2]),)
+                + message[3:]
             )
         elif tag in _REQUEST_TAGS:
             slot.pending.append((tag, None))

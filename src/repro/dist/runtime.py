@@ -362,7 +362,6 @@ class DistRuntime(ProcRuntime):
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
         worker_cache_bytes: int = 64 * 1024**2,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
-        dispatch_mode: str = "bottom_up",
         placement_policy: Any = None,
         spillover_policy: Any = None,
         steal_policy: Any = None,
@@ -424,7 +423,6 @@ class DistRuntime(ProcRuntime):
             "worker_cache_bytes": worker_cache_bytes,
             "shm_capacity": per_node_shm,
             "inline_threshold": inline_threshold,
-            "dispatch_mode": dispatch_mode,
             "spillover_policy": spillover_policy,
             "total_workers": num_nodes * workers_per_node,
             "store_capacity": cluster.nodes[0].object_store_capacity,
@@ -441,7 +439,6 @@ class DistRuntime(ProcRuntime):
                 inline_threshold=inline_threshold,
                 worker_cache_bytes=worker_cache_bytes,
                 shm_capacity=0,  # no driver arena: data lives on the nodes
-                dispatch_mode=dispatch_mode,
                 placement_policy=placement_policy,
                 spillover_policy=spillover_policy,
                 steal_policy=steal_policy,
@@ -668,13 +665,8 @@ class DistRuntime(ProcRuntime):
             )
         except OSError:
             inbound.put(_EOF)  # dead node: service thread sees EOF at once
-        loop = (
-            self._service_loop_bottom_up
-            if self.dispatch_mode == "bottom_up"
-            else self._service_loop
-        )
         thread = threading.Thread(
-            target=loop,
+            target=self._service_loop,
             args=(worker,),
             name=f"repro-dist-service-{index}",
             daemon=True,
@@ -1071,32 +1063,30 @@ class DistRuntime(ProcRuntime):
             for index in range(lo, lo + self._workers_per_node):
                 worker = workers[index] if index < len(workers) else None
                 if worker is not None and worker.alive:
-                    self._fail_node_worker(worker, None, link)
+                    self._fail_node_worker(worker, link)
             self._reclaim_node_state(link)
             self._cond.notify_all()
 
-    def _handle_worker_crash(self, worker, inflight, exc) -> None:
+    def _handle_worker_crash(self, worker) -> None:
         link = self._link_of(worker.index)
         if link.alive:
             # Worker died, node survives: identical to a proc crash —
             # the inherited handler replays/fails and respawns through
             # _spawn_worker, which routes the replacement via the agent.
-            super()._handle_worker_crash(worker, inflight, exc)
+            super()._handle_worker_crash(worker)
             return
         with self._cond:
             if self.closed or not worker.alive:
                 return
-            self._fail_node_worker(worker, inflight, link)
+            self._fail_node_worker(worker, link)
             self._reclaim_node_state(link)
             self._cond.notify_all()
 
-    def _fail_node_worker(self, worker, inflight, link) -> None:
+    def _fail_node_worker(self, worker, link) -> None:
         """One dead worker on a dead node (lock held): the proc crash
         cleanup without a respawn — there is no node to respawn into."""
         worker.alive = False
         doomed = list(worker.inflight)
-        if inflight is not None and inflight not in doomed:
-            doomed.append(inflight)
         worker.inflight.clear()
         for _task_id, mirrored in worker.mirror.drain():
             if mirrored not in doomed:

@@ -51,7 +51,6 @@ from repro.core.protocol import (
 from repro.core.task import (
     ResourceRequest,
     TaskSpec,
-    _UNSET,
     build_task_spec,
     resolve_task_options,
 )
@@ -64,17 +63,11 @@ from repro.core.worker import (
 from repro.errors import BackendError, GetTimeoutError
 from repro.gcs import ControlStore
 from repro.obs import SpanCollector
-from repro.scheduling.policies import PlacementPolicy, SpilloverPolicy, StealPolicy
-from repro.sched_plane import SchedCounters, WorkerCandidate, plan_placement
+from repro.sched_plane import SchedCounters
 from repro.utils.ids import ActorID, FunctionID, IDGenerator, NodeID, ObjectID
 from repro.utils.serialization import ByteAccountant, deserialize, serialize
 
 _POISON = object()
-
-#: Valid values of the ``dispatch_mode`` init option (same contract as
-#: the proc backend; "driver" — the historical always-global placement —
-#: stays selectable for ablation).
-DISPATCH_MODES = ("bottom_up", "driver")
 
 
 @dataclass
@@ -129,10 +122,6 @@ class LocalRuntime:
         self,
         cluster: Optional[ClusterSpec] = None,
         seed: int = 0,
-        dispatch_mode: str = "driver",
-        placement_policy: Optional[PlacementPolicy] = None,
-        spillover_policy: Optional[SpilloverPolicy] = None,
-        steal_policy: Optional[StealPolicy] = None,
         control_shards: int = 8,
         tracing: bool = False,
     ) -> None:
@@ -142,22 +131,11 @@ class LocalRuntime:
                 f"invalid init option control_shards={control_shards!r} for "
                 "backend 'local'; must be a positive integer"
             )
-        if dispatch_mode not in DISPATCH_MODES:
-            raise BackendError(
-                f"invalid init option dispatch_mode={dispatch_mode!r} for "
-                f"backend 'local'; valid values: {list(DISPATCH_MODES)}"
-            )
-        #: The scheduling plane (repro.sched_plane) over threads: in
-        #: bottom_up mode a worker thread's nested submissions stay on
-        #: its own node while the backlog allows (the fast path — here
-        #: "zero round-trips" means zero extra placement work under the
-        #: global view), spillover is placed through the shared
-        #: PlacementPolicy, and threads that would go idle steal from
-        #: the tails of other nodes' pending queues.
-        self.dispatch_mode = dispatch_mode
-        self._placement_policy = placement_policy or PlacementPolicy()
-        self._spillover_policy = spillover_policy or SpilloverPolicy()
-        self._steal_policy = steal_policy or StealPolicy()
+        #: Every task is placed globally (most free slots; threads share
+        #: one address space, so there is no locality to score and no
+        #: queue worth stealing from under the GIL).  The scheduling
+        #: plane's counters are kept so stats()["sched"] has the same
+        #: keys on every live backend; here they stay zero.
         self._sched = SchedCounters()
         #: The tracing plane (repro.obs).  Single process: every worker
         #: thread records straight into the driver collector (one clock,
@@ -227,17 +205,9 @@ class LocalRuntime:
         args: tuple = (),
         kwargs: Optional[dict] = None,
         options: Any = None,
-        resources: Optional[ResourceRequest] = None,
-        duration: Any = _UNSET,        # modeled durations are a sim concept
-        placement_hint: Any = _UNSET,
-        max_reconstructions: Optional[int] = None,
     ) -> Any:
         self._check_open()
-        options = resolve_task_options(
-            options, resources=resources, duration=duration,
-            placement_hint=placement_hint,
-            max_reconstructions=max_reconstructions,
-        )
+        options = resolve_task_options(options)
         check_cluster_feasible(self.cluster, options.resources, function_name)
         parent_task_id = getattr(self._tls, "cur_task", None)
         spec = build_task_spec(
@@ -458,7 +428,6 @@ class LocalRuntime:
                 "tasks_waiting": len(self._deps),
                 "actors_created": len(self.actors),
                 "tasks_cancelled": self._lifecycle.cancelled_count,
-                "dispatch_mode": self.dispatch_mode,
                 "sched": self._sched.snapshot(),
                 "obs": self._obs.stats(),
                 "serve": serve_stats(self._serve_pools, self._completions),
@@ -537,10 +506,7 @@ class LocalRuntime:
 
     def _enqueue_runnable(self, spec: TaskSpec) -> None:
         """Place a dependency-free task on a node (lock held)."""
-        if self.dispatch_mode == "bottom_up":
-            node = self._place_bottom_up(spec)
-        else:
-            node = self._choose_node(spec)
+        node = self._choose_node(spec)
         if self._obs.enabled:
             self._obs.record(
                 "task_placed",
@@ -550,45 +516,6 @@ class LocalRuntime:
             )
         node.pending.append(spec)
         self._dispatch(node)
-
-    def _place_bottom_up(self, spec: TaskSpec) -> "_Node":
-        """Two-level placement (lock held): keep locally-generated work
-        on the generating node while its backlog allows (the fast path),
-        spill the rest to the driver tier's shared PlacementPolicy."""
-        here = getattr(self._tls, "node", None)
-        if (
-            here is not None
-            and spec.actor_id is None
-            and not self._spillover_policy.should_spill(
-                spec,
-                node_cpus=here.num_cpus,
-                node_gpus=here.num_gpus,
-                backlog=len(here.pending),
-                this_node=here.node_id,
-            )
-        ):
-            self._sched.tasks_placed_local += 1
-            return here
-        if here is not None and spec.actor_id is None:
-            self._sched.tasks_spilled += 1
-        candidates = [
-            WorkerCandidate(
-                node_id=node.node_id,
-                est_cpus=node.available_cpus,
-                est_gpus=node.available_gpus,
-                queue_length=len(node.pending),
-            )
-            for node in self._nodes.values()
-            if spec.resources.fits_node(node.num_cpus, node.num_gpus)
-        ]
-        chosen = plan_placement(
-            spec, candidates, self._placement_policy, self._sched
-        )
-        if chosen is not None:
-            return self._nodes[chosen]
-        # Every feasible node is saturated: queue at the least loaded
-        # (the driver-mode choice), to be drained — or stolen — later.
-        return self._choose_node(spec)
 
     def _choose_node(self, spec: TaskSpec) -> _Node:
         if spec.placement_hint is not None and spec.placement_hint in self._nodes:
@@ -665,60 +592,6 @@ class LocalRuntime:
                 node.available_gpus += item.resources.num_gpus
                 node.tasks_executed += 1
                 self._dispatch(node)
-                if self.dispatch_mode == "bottom_up":
-                    self._steal_into(node)
-
-    def _steal_into(self, thief: _Node) -> None:
-        """Work stealing (lock held): a thread that just freed slots and
-        found its own node empty raids the tail of the most-backlogged
-        other node.  Placement-hinted specs (actor pinning, explicit
-        hints) are never stolen.
-
-        Completion-triggered only: threads parked in ``task_queue.get``
-        never wake to steal, so a node that has run nothing yet cannot
-        raid (unlike the proc plane's idle-loop polling).  The exposure
-        is bounded, not a liveness hole — the fast path keeps at most
-        ``queue_threshold x cpus`` tasks on the birth node before
-        spilling to global placement, which targets idle nodes."""
-        if not self._steal_policy.enabled or thief.pending:
-            return
-        if not thief.task_queue.empty():
-            return
-        victim = None
-        for node in self._nodes.values():
-            if node is thief:
-                continue
-            if not self._steal_policy.should_steal(len(node.pending)):
-                continue
-            if victim is None or len(node.pending) > len(victim.pending):
-                victim = node
-        if victim is None:
-            return
-        budget = self._steal_policy.batch_size(len(victim.pending))
-        stolen = []
-        for index in range(len(victim.pending) - 1, -1, -1):
-            if len(stolen) >= budget:
-                break
-            spec = victim.pending[index]
-            if spec.placement_hint is not None:
-                continue
-            if not spec.resources.fits_node(thief.num_cpus, thief.num_gpus):
-                continue
-            stolen.append(victim.pending.pop(index))
-        if not stolen:
-            return
-        stolen.reverse()  # preserve submission order at the new home
-        self._sched.tasks_stolen += len(stolen)
-        if self._obs.enabled:
-            for spec in stolen:
-                self._obs.record(
-                    "task_stolen",
-                    task_id=str(spec.task_id),
-                    thief=str(thief.node_id),
-                    victim=str(victim.node_id),
-                )
-        thief.pending.extend(stolen)
-        self._dispatch(thief)
 
     def _run_task(self, node: _Node, spec: TaskSpec) -> None:
         with self._lock:

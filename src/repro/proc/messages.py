@@ -1,30 +1,25 @@
 """Wire protocol between the proc driver and its worker processes.
 
-Each worker owns one duplex pipe.  In ``dispatch_mode="driver"`` traffic
-is strictly alternating from the worker's point of view: the driver
-sends a task; while executing it the worker may issue any number of
-*requests* (fetch an argument, submit a nested task, block in ``get``/
-``wait``, ``put`` a value, create or call an actor), each answered by
-exactly one reply from the driver's per-worker service thread; the
-exchange ends with the worker's ``RESULT`` message.  Because the worker
-is single-threaded, requests never interleave — the protocol needs no
-sequence numbers.
-
-``dispatch_mode="bottom_up"`` (the two-level scheduling plane,
-:mod:`repro.sched_plane`) adds **one-way messages** in both directions
-on top of the same request/reply core.  The worker runs *sessions*: one
+Each worker owns one duplex pipe, and the worker runs *sessions*: one
 driver ``TASK`` starts a session, during which the worker may execute
-any number of tasks from its own local queue, reporting each with a
+any number of tasks from its own local queue (the bottom tier of the
+scheduling plane, :mod:`repro.sched_plane`), reporting each with a
 one-way ``DONE`` and announcing new locally-born work with one-way
-``SUBMIT_LOCAL`` notices; ``IDLE`` ends the session.  The driver's
+``SUBMIT_LOCAL`` notices; ``IDLE`` ends the session.
+
+While a task runs, the worker may issue any number of *requests*
+(fetch an argument, submit a nested task it could not keep, block in
+``get``/``wait``, ``put`` a value, create or call an actor), each
+answered by exactly one reply from the driver's per-worker service
+thread.  Because the worker is single-threaded, requests never
+interleave — the protocol needs no sequence numbers.  The driver's
 one-way messages (``STEAL_REQUEST``, ``CANCEL_NOTICE``, ``PLACED``) may
-arrive at the worker interleaved with request replies; the worker
-processes them at every pipe touch-point — before dispatching each
-local task, inside its reply-wait loop, and while idle.  Pipe FIFO
-ordering is the protocol's only synchronization: a ``SUBMIT_LOCAL``
-always precedes any ``DONE`` or ``STEAL_GRANT`` that mentions its task,
-so the driver's mirror of each worker queue is maintained in causal
-order.
+arrive interleaved with request replies; the worker processes them at
+every pipe touch-point — before dispatching each local task, inside its
+reply-wait loop, and while idle.  Pipe FIFO ordering is the protocol's
+only synchronization: a ``SUBMIT_LOCAL`` always precedes any ``DONE`` or
+``STEAL_GRANT`` that mentions its task, so the driver's mirror of each
+worker queue is maintained in causal order.
 
 Messages are tuples ``(tag, *payload)``.  Everything crossing the pipe is
 picklable by construction: user *code* is pre-serialized with
@@ -33,7 +28,7 @@ plain pickle, and framework objects (ids, refs, resource requests,
 :class:`~repro.core.worker.ErrorValue`) are simple dataclasses.
 
 Large user values do not cross the pipe at all when the shared-memory
-data plane is on: FETCH/GET replies and RESULT blobs carry a
+data plane is on: FETCH/GET replies and DONE blobs carry a
 :class:`ShmDescriptor` (segment name + slot + size) instead of bytes,
 and the payload moves through :mod:`repro.shm` zero-copy.
 """
@@ -48,12 +43,6 @@ from repro.utils.ids import ObjectID
 TASK = "task"          # (TASK, payload_dict): execute one task
 SHUTDOWN = "shutdown"  # (SHUTDOWN,): exit the worker loop
 
-# -- worker -> driver (task lifecycle) ----------------------------------
-RESULT = "result"      # (RESULT, [blob, ...], failed): the task finished;
-                       # one entry per return slot (num_returns), each
-                       # either result bytes or a ShmDescriptor the worker
-                       # already filled (the driver seals it on receipt)
-
 # -- worker -> driver (requests while a task runs) ----------------------
 FETCH = "fetch"                # (FETCH, object_id) -> (OK, bytes)
 SUBMIT = "submit"              # (SUBMIT, payload) -> (OK, ObjectRef | tuple)
@@ -66,7 +55,7 @@ CALL_ACTOR = "call_actor"      # (CALL_ACTOR, payload) -> (OK, ObjectRef)
 GET_ACTOR = "get_actor"        # (GET_ACTOR, name) -> (OK, ActorHandle)
 
 # -- worker -> driver (the shared-memory data plane) --------------------
-# Metadata-only variants of FETCH/PUT/RESULT: large objects cross the
+# Metadata-only variants of FETCH/PUT/DONE: large objects cross the
 # pipe as ~100-byte ShmDescriptors; only small ones ship as bytes.
 # Argument descriptors ship embedded in SlotRef (no round trip);
 # SHM_ATTACH is the explicit metadata refetch for everything else.
@@ -79,12 +68,12 @@ SHM_CREATE = "shm_create"  # (SHM_CREATE, object_id | None, nbytes)
                            # pipe); object_id=None allocates a fresh id
 SHM_SEAL = "shm_seal"      # (SHM_SEAL, object_id) -> (OK, ObjectRef):
                            # publish a worker-filled allocation (put path;
-                           # result blobs seal implicitly on RESULT)
+                           # result blobs seal implicitly on DONE)
 SHM_ABORT = "shm_abort"    # (SHM_ABORT, object_id) -> (OK, None): return
                            # a granted-but-unwritable allocation to the
                            # arena (the worker is falling back to bytes)
 
-# -- the bottom-up scheduling plane (dispatch_mode="bottom_up") ---------
+# -- sessions and the scheduling plane ----------------------------------
 # One-way messages; no tag below ever gets a reply.
 
 # worker -> driver:
@@ -97,8 +86,10 @@ SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [notice, ...]): nested
                                # state causally first; it acks the batch
                                # with one PLACED
 DONE = "done"          # (DONE, task_id, [blob, ...], failed): one task
-                       # finished (bottom-up RESULT: sessions run many
-                       # tasks, so the id rides along)
+                       # finished; one blob per return slot (num_returns),
+                       # each either result bytes or a ShmDescriptor the
+                       # worker already filled (the driver seals it on
+                       # receipt)
 IDLE = "idle"          # (IDLE,): local queue drained; session over — the
                        # worker now blocks awaiting the next TASK
 STEAL_GRANT = "steal_grant"  # (STEAL_GRANT, [task_id, ...]): the worker
@@ -109,7 +100,7 @@ STEAL_GRANT = "steal_grant"  # (STEAL_GRANT, [task_id, ...]): the worker
 
 # -- the tracing plane (init(..., tracing=True)) ------------------------
 # Span records normally piggyback on messages the worker already sends:
-# DONE, RESULT, and IDLE each grow one OPTIONAL trailing element — an
+# DONE and IDLE each grow one OPTIONAL trailing element — an
 # "obs blob" (send_monotonic, [(t, kind, payload), ...], dropped_total)
 # appended only when the worker's SpanRecorder has something to flush.
 # Receivers index those messages positionally from the front, so the
@@ -162,7 +153,7 @@ class ShmDescriptor:
     This is what crosses the pipe in place of the payload: the receiver
     attaches ``segment`` lazily (cached per segment), takes its refcount
     cell for ``slot``, and reads ``size`` framed bytes zero-copy.  Sent
-    in FETCH/GET replies, RESULT blobs, and SHM_CREATE grants.
+    in FETCH/GET replies, DONE blobs, and SHM_CREATE grants.
     """
 
     object_id: ObjectID

@@ -6,14 +6,16 @@ Architecture (one instance = one pool):
   **spawn** method and connected by one duplex pipe.  Spawn (not fork)
   keeps children free of inherited locks/threads and mirrors how real
   cluster workers boot from nothing.
-* One **service thread** per worker on the driver side.  It pulls runnable
-  tasks (from the shared queue, or the worker's pinned queue for actor
-  tasks), ships them over the pipe, and then *serves* the worker's
-  requests — argument fetches, nested submissions, blocking ``get``/
-  ``wait``, ``put``, actor operations — until the result message arrives.
-  Service threads mostly sleep in ``recv``; user compute happens in the
-  children, outside the GIL, which is what makes this the first backend
-  where CPU-bound work actually scales with workers.
+* One **service thread** per worker on the driver side.  It hands its
+  idle worker one runnable task (the worker's pinned actor tasks first,
+  then the tasks placed on it, then the global queue), which opens a
+  *session*, and serves everything the session produces — argument
+  fetches, spilled nested submissions, blocking ``get``/``wait``,
+  ``put``, actor operations, one ``DONE`` per finished task — until the
+  worker reports ``IDLE``.  Service threads mostly sleep in ``recv``;
+  user compute happens in the children, outside the GIL, which is what
+  makes this the first backend where CPU-bound work actually scales
+  with workers.
 * The shared core from the other backends does the semantics:
   :class:`~repro.core.dependencies.DependencyTracker` gates readiness,
   :mod:`repro.core.protocol` validates and unwraps, the actor-table
@@ -27,7 +29,7 @@ Architecture (one instance = one pool):
   ``shm_capacity`` and host support): payloads are written once into a
   sealed shm arena — by the driver on ``put``, by the *worker itself*
   for large results (``SHM_CREATE`` grant, then a descriptor in
-  ``RESULT``) — and every subsequent hop (argument attach, driver get,
+  ``DONE``) — and every subsequent hop (argument attach, driver get,
   broadcast) moves only a descriptor while readers reconstruct views
   aliasing the arena.  The coordinator's reaper reclaims refcounts held
   by crashed workers, and shutdown unlinks every segment.
@@ -38,12 +40,9 @@ Architecture (one instance = one pool):
   the sim backend's node-death semantics; a replacement worker is spawned
   either way.  ``worker_crash_policy="fail"`` turns replay off and
   surfaces :class:`~repro.errors.WorkerCrashedError` instead.
-* **Two dispatch modes** (``dispatch_mode`` init option).  ``"driver"``
-  is the fully centralized loop described above: every submission —
-  including nested ``.remote()`` calls born on workers — funnels through
-  the driver.  ``"bottom_up"`` (default) is the paper's hybrid two-level
-  scheduler realized on real processes (:mod:`repro.sched_plane`): each
-  worker owns a local task queue it feeds with a zero-round-trip nested
+* **The scheduling plane** is the paper's hybrid two-level scheduler
+  realized on real processes (:mod:`repro.sched_plane`): each worker
+  owns a local task queue it feeds with a zero-round-trip nested
   submission fast path (the driver learns via one-way ``SUBMIT_LOCAL``
   notices and mirrors every queue for lineage), while the driver is the
   *global tier* — it places driver-born and spilled work with a
@@ -52,9 +51,7 @@ Architecture (one instance = one pool):
   argument bytes), brokers idle-worker work stealing
   (:class:`~repro.scheduling.policies.StealPolicy`; the victim's grant
   is authoritative, so a stolen task provably runs exactly once), and
-  re-homes queued or mid-steal tasks when their worker crashes.  Both
-  modes keep every observable — parity workloads, cancellation,
-  ``num_returns``, named actors, fault tolerance — identical.
+  re-homes queued or mid-steal tasks when their worker crashes.
 """
 
 from __future__ import annotations
@@ -97,7 +94,6 @@ from repro.core.protocol import (
 from repro.core.task import (
     ResourceRequest,
     TaskSpec,
-    _UNSET,
     build_task_spec,
     resolve_task_options,
 )
@@ -140,9 +136,6 @@ from repro.utils.serialization import (
 
 #: Valid values of the ``worker_crash_policy`` init option.
 CRASH_POLICIES = ("replace", "fail")
-
-#: Valid values of the ``dispatch_mode`` init option.
-DISPATCH_MODES = ("bottom_up", "driver")
 
 #: How long an idle service thread sleeps between steal-opportunity
 #: re-checks, and how often a driver thread serving a blocked worker
@@ -204,12 +197,12 @@ class _WorkerHandle:
     #: Stack of specs executing in the child: the task it was handed plus
     #: any pinned actor tasks running reentrantly while it blocks.
     inflight: list = field(default_factory=list)
-    #: Bottom-up mode: stateless tasks the driver tier placed here
-    #: (locality-aware), shipped when the worker next idles.
+    #: Stateless tasks the driver tier placed here (locality-aware),
+    #: shipped when the worker next idles.
     placed: deque = field(default_factory=deque)
-    #: Bottom-up mode: the driver's mirror of the worker's own local
-    #: queue, built from SUBMIT_LOCAL notices in pipe order — the state
-    #: that makes stolen and crashed local tasks recoverable.
+    #: The driver's mirror of the worker's own local queue, built from
+    #: SUBMIT_LOCAL notices in pipe order — the state that makes stolen
+    #: and crashed local tasks recoverable.
     mirror: LocalTaskQueue = field(default_factory=LocalTaskQueue)
     #: Serializes driver->worker sends: replies from the service thread
     #: interleave with steal requests and cancel notices sent by *other*
@@ -219,8 +212,8 @@ class _WorkerHandle:
     #: flushed (in order, ahead of the next message) by the service
     #: thread's next lock-free send.
     outbox: deque = field(default_factory=deque)
-    #: Bottom-up session state: True between shipping a TASK and the
-    #: worker's IDLE.  Only busy workers are steal victims.
+    #: Session state: True between shipping a TASK and the worker's
+    #: IDLE.  Only busy workers are steal victims.
     busy: bool = False
     #: An un-answered STEAL_REQUEST is outstanding for this victim.
     steal_outstanding: bool = False
@@ -241,7 +234,6 @@ class ProcRuntime:
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
         worker_cache_bytes: int = 64 * 1024**2,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
-        dispatch_mode: str = "bottom_up",
         placement_policy: Optional[PlacementPolicy] = None,
         spillover_policy: Optional[SpilloverPolicy] = None,
         steal_policy: Optional[StealPolicy] = None,
@@ -251,11 +243,6 @@ class ProcRuntime:
         tracing: bool = False,
     ) -> None:
         self.cluster = cluster or ClusterSpec.uniform(num_nodes=1, num_cpus=4)
-        if dispatch_mode not in DISPATCH_MODES:
-            raise BackendError(
-                f"invalid init option dispatch_mode={dispatch_mode!r} for "
-                f"backend 'proc'; valid values: {list(DISPATCH_MODES)}"
-            )
         if num_workers is None:
             num_workers = self.cluster.total_cpus
         if not isinstance(num_workers, int) or num_workers < 1:
@@ -313,11 +300,10 @@ class ProcRuntime:
         self._crash_policy = worker_crash_policy
         self._inline_threshold = inline_threshold
         self._worker_cache_bytes = worker_cache_bytes
-        #: The scheduling plane (see repro.sched_plane): dispatch mode,
-        #: the driver tier's placement/steal policies, the worker tier's
-        #: spillover policy (shipped to every worker at spawn), residency
-        #: for locality scoring, and the stats()["sched"] counters.
-        self.dispatch_mode = dispatch_mode
+        #: The scheduling plane (see repro.sched_plane): the driver
+        #: tier's placement/steal policies, the worker tier's spillover
+        #: policy (shipped to every worker at spawn), residency for
+        #: locality scoring, and the stats()["sched"] counters.
         self._placement_policy = placement_policy or PlacementPolicy()
         self._spillover_policy = spillover_policy
         self._steal_policy = steal_policy or StealPolicy()
@@ -415,19 +401,11 @@ class ProcRuntime:
         args: tuple = (),
         kwargs: Optional[dict] = None,
         options: Any = None,
-        resources: Optional[ResourceRequest] = None,
-        duration: Any = _UNSET,        # modeled durations are a sim concept
-        placement_hint: Any = _UNSET,
-        max_reconstructions: Optional[int] = None,
         root_task_id: Any = None,
         parent_task_id: Any = None,
     ) -> Any:
         self._check_open()
-        options = resolve_task_options(
-            options, resources=resources, duration=duration,
-            placement_hint=placement_hint,
-            max_reconstructions=max_reconstructions,
-        )
+        options = resolve_task_options(options)
         check_cluster_feasible(self.cluster, options.resources, function_name)
         with self._cond:
             spec = build_task_spec(
@@ -493,11 +471,10 @@ class ProcRuntime:
                 return
             # Dead/unknown actor: any service thread may resolve it to an
             # error through the pre-dispatch check.
-        elif self.dispatch_mode == "bottom_up":
-            self._place_bottom_up(spec)
+            self._queue.append(spec)
+            self._obs_placed(spec, None)
             return
-        self._queue.append(spec)
-        self._obs_placed(spec, None)
+        self._place(spec)
 
     def _obs_placed(
         self, spec: TaskSpec, home: Optional[_WorkerHandle]
@@ -512,7 +489,7 @@ class ProcRuntime:
                 worker=None if home is None else f"worker-{home.index}",
             )
 
-    def _place_bottom_up(self, spec: TaskSpec) -> None:
+    def _place(self, spec: TaskSpec) -> None:
         """The driver tier's placement decision (lock held): score every
         live worker through the shared :class:`PlacementPolicy` — idle
         workers have estimated capacity, and residency supplies the
@@ -749,8 +726,7 @@ class ProcRuntime:
         for object_id in spec.all_return_ids():
             if not self._has_object(object_id):
                 self._store_bytes(object_id, data)
-        if self.dispatch_mode == "bottom_up":
-            self._drop_cancelled_from_plane(spec)
+        self._drop_cancelled_from_plane(spec)
 
     def _drop_cancelled_from_plane(self, spec: TaskSpec) -> None:
         """Evict a cancelled task from wherever the scheduling plane
@@ -811,7 +787,6 @@ class ProcRuntime:
                 "shm_enabled": self._shm is not None,
                 "shm": self._acct_shm.snapshot(),
                 "shm_store": None if self._shm is None else self._shm.stats(),
-                "dispatch_mode": self.dispatch_mode,
                 "sched": self._sched.snapshot(),
                 "obs": self._obs.stats(),
                 "serve": serve_stats(self._serve_pools, self._completions),
@@ -1063,8 +1038,7 @@ class ProcRuntime:
             args=(
                 child_conn, index, self.seed, self._worker_cache_bytes,
                 self._shm is not None, self._inline_threshold,
-                self.dispatch_mode, self._spawn_count, self._spillover_policy,
-                self.tracing,
+                self._spawn_count, self._spillover_policy, self.tracing,
             ),
             name=f"repro-proc-worker-{index}",
             daemon=True,
@@ -1074,13 +1048,8 @@ class ProcRuntime:
         worker.process = process
         self._workers[index] = worker
         self._by_node[worker.node_id] = worker
-        loop = (
-            self._service_loop_bottom_up
-            if self.dispatch_mode == "bottom_up"
-            else self._service_loop
-        )
         thread = threading.Thread(
-            target=loop,
+            target=self._service_loop,
             args=(worker,),
             name=f"repro-proc-service-{index}",
             daemon=True,
@@ -1126,45 +1095,6 @@ class ProcRuntime:
         with worker.send_lock:
             while worker.outbox:
                 worker.conn.send(worker.outbox.popleft())
-
-    def _service_loop(self, worker: _WorkerHandle) -> None:
-        """Feed one worker process and serve its requests until shutdown."""
-        while True:
-            spec = self._next_task(worker)
-            if spec is None:
-                try:
-                    self._send(worker, (msg.SHUTDOWN,))
-                except OSError:
-                    pass
-                return
-            try:
-                self._execute_remote(worker, spec)
-            except (EOFError, OSError) as exc:
-                self._handle_worker_crash(worker, spec, exc)
-                return  # a replacement thread owns the slot now
-
-    def _next_task(self, worker: _WorkerHandle) -> Optional[TaskSpec]:
-        """Block until a task is available for this worker (or shutdown)."""
-        with self._cond:
-            while True:
-                if self.closed or not worker.alive:
-                    return None
-                spec = None
-                if worker.pinned:
-                    spec = worker.pinned.popleft()
-                elif self._queue:
-                    spec = self._queue.popleft()
-                if spec is None:
-                    self._cond.wait()
-                    continue
-                if self._lifecycle.is_cancelled(spec.task_id):
-                    continue  # cancelled while queued: never ship it
-                if spec.actor_id is not None:
-                    spec = self._claim_actor_spec(worker, spec)
-                    if spec is None:
-                        continue
-                worker.inflight.append(spec)
-                return spec
 
     def _claim_actor_spec(
         self, worker: _WorkerHandle, spec: TaskSpec
@@ -1219,16 +1149,16 @@ class ProcRuntime:
         return None
 
     # ------------------------------------------------------------------
-    # Bottom-up mode: sessions, the mirror, and the steal broker
+    # Sessions, the mirror, and the steal broker
     # ------------------------------------------------------------------
 
-    def _service_loop_bottom_up(self, worker: _WorkerHandle) -> None:
-        """The driver tier's per-worker loop in bottom-up mode: hand the
-        idle worker one task to open a *session*, then serve everything
-        the session produces (rpc requests, SUBMIT_LOCAL notices, DONE
-        reports, steal grants) until the worker reports IDLE."""
+    def _service_loop(self, worker: _WorkerHandle) -> None:
+        """The driver tier's per-worker loop: hand the idle worker one
+        task to open a *session*, then serve everything the session
+        produces (rpc requests, SUBMIT_LOCAL notices, DONE reports,
+        steal grants) until the worker reports IDLE."""
         while True:
-            spec = self._next_task_bottom_up(worker)
+            spec = self._next_task(worker)
             if spec is None:
                 try:
                     self._send(worker, (msg.SHUTDOWN,))
@@ -1237,15 +1167,15 @@ class ProcRuntime:
                 return
             try:
                 self._run_session(worker, spec)
-            except (EOFError, OSError) as exc:
-                # No extra spec here: unlike driver mode, the session
-                # opener may already be DONE (popped from inflight) with
-                # the worker deep in its local queue — the inflight
-                # stack plus the mirror are exactly what died.
-                self._handle_worker_crash(worker, None, exc)
+            except (EOFError, OSError):
+                # The session opener may already be DONE (popped from
+                # inflight) with the worker deep in its local queue —
+                # the inflight stack plus the mirror are exactly what
+                # died.
+                self._handle_worker_crash(worker)
                 return  # a replacement thread owns the slot now
 
-    def _next_task_bottom_up(self, worker: _WorkerHandle) -> Optional[TaskSpec]:
+    def _next_task(self, worker: _WorkerHandle) -> Optional[TaskSpec]:
         """Block until this worker has work (or shutdown): its pinned
         actors first, then its placed queue, then the global spillover
         queue — and, failing all three, *steal*: raid another worker's
@@ -1290,15 +1220,17 @@ class ProcRuntime:
 
     def _steal_placed(self, thief: _WorkerHandle) -> Optional[TaskSpec]:
         """Driver-side steal: move one task from the longest placed
-        queue of another live worker (lock held).  No wire protocol —
-        placed queues live on the driver, so the raid is a deque pop."""
+        queue of another live, *busy* worker (lock held).  No wire
+        protocol — placed queues live on the driver, so the raid is a
+        deque pop.  An idle owner is never raided: the notify that woke
+        the thief woke the owner too, and it drains its own queue."""
         if not self._steal_policy.enabled:
             return None
         victim = None
         for worker in self._workers:
             if worker is None or worker is thief or not worker.alive:
                 continue
-            if not worker.placed:
+            if not worker.placed or not (worker.busy or worker.inflight):
                 continue
             if victim is None or len(worker.placed) > len(victim.placed):
                 victim = worker
@@ -1360,9 +1292,9 @@ class ProcRuntime:
         return True
 
     def _handle_async_report(self, worker: _WorkerHandle, message: tuple) -> bool:
-        """One arm for the one-way worker reports every bottom-up
-        serving loop shares; False if the message was something else
-        (an rpc request, or IDLE — the callers' loop-exit conditions)."""
+        """One arm for the one-way worker reports every serving loop
+        shares; False if the message was something else (an rpc
+        request, or IDLE — the callers' loop-exit conditions)."""
         tag = message[0]
         if tag == msg.DONE:
             if len(message) > 4:  # optional trailing obs blob
@@ -1519,7 +1451,7 @@ class ProcRuntime:
 
     def _drain_worker_messages(self, worker: _WorkerHandle) -> None:
         """Pump buffered worker messages while the worker is blocked in
-        a get/wait rpc (bottom-up only; called by its service thread).
+        a get/wait rpc (called by its service thread).
 
         A blocked worker still answers steal requests inside its
         reply-wait loop, but this service thread is parked on the
@@ -1541,39 +1473,14 @@ class ProcRuntime:
     # One task on one worker
     # ------------------------------------------------------------------
 
-    def _execute_remote(self, worker: _WorkerHandle, spec: TaskSpec) -> None:
-        """Ship a task, serve the worker's requests, store the result.
-
-        Pipe failures propagate to the caller (crash handling); anything
-        unserializable resolves the task to an error value instead."""
-        try:
-            payload = self._build_payload(spec, worker)
-        except (TypeError, ReproError) as exc:
-            self._fail_payload(worker, spec, exc)
-            return
-        self._send(worker, (msg.TASK, payload))
-        while True:
-            message = worker.conn.recv()
-            if message[0] == msg.RESULT:
-                if len(message) > 3:  # optional trailing obs blob
-                    self._ingest_worker_obs(worker, message[3])
-                self._finish_task(worker, spec, message[1], failed=message[2])
-                return
-            if message[0] == msg.SPANS:
-                self._ingest_worker_obs(worker, message[1])
-                continue
-            self._serve_rpc(worker, message)
-
     def _dispatch_nested(self, worker: _WorkerHandle, spec: TaskSpec) -> None:
-        """Run one pinned actor task *inside* a worker that is currently
-        blocked awaiting an RPC reply (it executes reentrantly there)."""
+        """Run one task — a pinned actor task or runnable stateless
+        work — *inside* a worker that is currently blocked awaiting an
+        RPC reply (it executes reentrantly there)."""
         with self._cond:
             worker.inflight.append(spec)
-        if self.dispatch_mode != "bottom_up":
-            self._execute_remote(worker, spec)
-            return
-        # Bottom-up: same injection, but completions are DONE reports
-        # and the blocked worker may interleave notices and grants.
+        # The blocked worker may interleave notices and grants with the
+        # injected task's DONE.
         try:
             payload = self._build_payload(spec, worker)
         except (TypeError, ReproError) as exc:
@@ -1594,7 +1501,7 @@ class ProcRuntime:
     def _build_payload(self, spec: TaskSpec, worker: _WorkerHandle) -> dict:
         """Resolve ref arguments into inline blobs or store markers.
 
-        Worker-born tasks (bottom-up fast path) already carry their
+        Worker-born tasks (the nested-submission fast path) already carry their
         payload — built by the submitting worker and mirrored here via
         SUBMIT_LOCAL — so steal and crash-replay dispatches reuse it
         verbatim; ref slots resolve through FETCH/shm on the executing
@@ -1680,13 +1587,6 @@ class ProcRuntime:
             cached = serialize_portable(function)
             self._fn_cache[spec.function_id] = cached
         return cached
-
-    def _finish_task(
-        self, worker: _WorkerHandle, spec: TaskSpec, blobs: list, failed: bool
-    ) -> None:
-        with self._cond:
-            worker.inflight.remove(spec)
-            self._finish_spec(worker, spec, blobs, failed)
 
     def _finish_spec(
         self, worker: _WorkerHandle, spec: TaskSpec, blobs: list, failed: bool
@@ -1969,9 +1869,8 @@ class ProcRuntime:
         task is getting — can only run if we feed them to it now; the
         child executes them reentrantly (see ``ProcWorker.rpc``).
 
-        In bottom-up mode a blocked worker stays a full execution
-        resource, which is what makes a fully-blocked pool deadlock-free
-        (driver mode, the ablation baseline, pumps only pinned tasks):
+        A blocked worker stays a full execution resource, which is what
+        makes a fully-blocked pool deadlock-free:
 
         * runnable stateless work — its placed queue, the global queue —
           is injected reentrantly exactly like pinned tasks;
@@ -1982,10 +1881,8 @@ class ProcRuntime:
         * the pipe is polled for those grants (this thread is their only
           reader), and busy peers are raided on this worker's behalf.
         """
-        bottom_up = self.dispatch_mode == "bottom_up"
         while True:
             nested: Optional[TaskSpec] = None
-            drain = False
             with self._cond:
                 while True:
                     if predicate():
@@ -1998,7 +1895,7 @@ class ProcRuntime:
                             nested = claimed
                             break
                         continue
-                    if bottom_up and (worker.placed or self._queue):
+                    if worker.placed or self._queue:
                         spec = (
                             worker.placed.popleft()
                             if worker.placed
@@ -2019,30 +1916,27 @@ class ProcRuntime:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             return False
-                    if bottom_up:
-                        self._request_remote_steal(worker, include_self=True)
-                        # Steal grants land on *this worker's* pipe, which
-                        # only this thread reads — so poll fast exactly
-                        # while a grant (or queued outbox push) may be
-                        # sitting there, and otherwise rely on the cond
-                        # edges with a coarse backstop.
-                        pipe_work = worker.steal_outstanding or worker.outbox
-                        interval = (
-                            _STEAL_POLL_INTERVAL
-                            if pipe_work
-                            else _BLOCKED_WAIT_BACKSTOP
-                        )
-                        self._cond.wait(
-                            timeout=interval
-                            if remaining is None
-                            else min(remaining, interval)
-                        )
-                        drain = True
-                        break
-                    self._cond.wait(timeout=remaining)
+                    self._request_remote_steal(worker, include_self=True)
+                    # Steal grants land on *this worker's* pipe, which
+                    # only this thread reads — so poll fast exactly while
+                    # a grant (or queued outbox push) may be sitting
+                    # there, and otherwise rely on the cond edges with a
+                    # coarse backstop.
+                    pipe_work = worker.steal_outstanding or worker.outbox
+                    interval = (
+                        _STEAL_POLL_INTERVAL
+                        if pipe_work
+                        else _BLOCKED_WAIT_BACKSTOP
+                    )
+                    self._cond.wait(
+                        timeout=interval
+                        if remaining is None
+                        else min(remaining, interval)
+                    )
+                    break
             if nested is not None:
                 self._dispatch_nested(worker, nested)
-            elif drain:
+            else:
                 self._drain_worker_messages(worker)
 
     def _put_bytes(self, worker: _WorkerHandle, data: bytes) -> ObjectRef:
@@ -2056,16 +1950,15 @@ class ProcRuntime:
     def _submit_from_worker(self, payload: dict) -> Any:
         function = deserialize_portable(payload["function_bytes"])
         args, kwargs = deserialize_portable(payload["call_bytes"])
-        if self.dispatch_mode == "bottom_up":
-            # A worker-born task that could not take the fast path
-            # (unresolved/non-resident deps, misfit resources, backlog):
-            # the paper's spillover stream into the driver tier.
-            with self._cond:
-                self._sched.tasks_spilled += 1
-                if self._obs.enabled:
-                    self._obs.record(
-                        "task_spilled", function=payload["function_name"]
-                    )
+        # A worker-born task that could not take the fast path
+        # (unresolved/non-resident deps, misfit resources, backlog): the
+        # paper's spillover stream into the driver tier.
+        with self._cond:
+            self._sched.tasks_spilled += 1
+            if self._obs.enabled:
+                self._obs.record(
+                    "task_spilled", function=payload["function_name"]
+                )
         return self.submit_task(
             function=function,
             function_id=self.ids.function_id(),
@@ -2111,7 +2004,7 @@ class ProcRuntime:
         (e.g. a cancellation marker racing a worker's result write): the
         granted slot may be mid-``write_frame`` in the worker, so its
         space is only reclaimed once the writer is provably done (its
-        RESULT arrived, its SHM_ABORT arrived, or it crashed)."""
+        DONE arrived, its SHM_ABORT arrived, or it crashed)."""
         self._store.put(object_id, data)
         self._store.pin(object_id)
         self._object_arrived(object_id)
@@ -2187,9 +2080,7 @@ class ProcRuntime:
     # Crash handling
     # ------------------------------------------------------------------
 
-    def _handle_worker_crash(
-        self, worker: _WorkerHandle, inflight: Optional[TaskSpec], exc: BaseException
-    ) -> None:
+    def _handle_worker_crash(self, worker: _WorkerHandle) -> None:
         """A worker process died (EOF/error on its pipe).
 
         Mirrors the sim backend's node-death semantics: actors whose state
@@ -2200,13 +2091,10 @@ class ProcRuntime:
             if self.closed or not worker.alive:
                 return
             worker.alive = False
-            # Everything on the reentrant stack died with the process, not
-            # just the spec the crashing frame was driving.
+            # Everything on the reentrant stack died with the process.
             doomed = list(worker.inflight)
-            if inflight is not None and inflight not in doomed:
-                doomed.append(inflight)
             worker.inflight.clear()
-            # Bottom-up: the worker's local queue died with it, but the
+            # The worker's local queue died with it, but the
             # mirror has every task (SUBMIT_LOCAL precedes everything
             # else on the pipe) and _payloads still holds their shipped
             # forms — re-home them through the same lineage-replay gate

@@ -1,12 +1,12 @@
 """Worker-process side of the ``proc`` backend.
 
 One :class:`ProcWorker` runs per child process: a synchronous loop that
-receives task messages over its pipe, executes them, and sends results
-back.  Everything user code can do inside a task — nested ``.remote()``
-calls, ``repro.get``/``wait``/``put``, actor creation and calls, the
-generator effect vocabulary — is served by :class:`WorkerRuntime`, a
-proxy implementing the backend surface via requests to the driver's
-per-worker service thread.
+receives task messages over its pipe, executes them, and reports each
+result back with a ``DONE``.  Everything user code can do inside a
+task — nested ``.remote()`` calls, ``repro.get``/``wait``/``put``,
+actor creation and calls, the generator effect vocabulary — is served
+by :class:`WorkerRuntime`, a proxy implementing the backend surface via
+requests to the driver's per-worker service thread.
 
 The worker shares the execution-side semantics of the other backends
 through the core modules: :func:`~repro.core.actors.resolve_actor_callable`
@@ -19,19 +19,21 @@ simulated worker would.  Large arguments are cached in a per-worker
 byte-store used on every node of the simulated cluster), pinned while the
 task runs.
 
-In ``dispatch_mode="bottom_up"`` the worker additionally owns the
-bottom tier of the scheduling plane (:mod:`repro.sched_plane`): a
+The worker also owns the bottom tier of the scheduling plane
+(:mod:`repro.sched_plane`): a
 :class:`~repro.sched_plane.queues.LocalTaskQueue` it is the sole
 executor of.  A nested ``.remote()`` whose dependencies are already
 resident here (argument cache, own shared-memory descriptors) builds
 its spec *locally* — the worker allocates task and object ids from its
 own collision-free namespace — enqueues it to itself, and tells the
 driver with a one-way ``SUBMIT_LOCAL`` notice: **zero driver
-round-trips** on the submission path.  The worker drains this queue
-between driver tasks, answers ``STEAL_REQUEST``\\ s by granting the
-tail of the queue (ownership makes the grant race-free: what it gives
-away it provably never runs), and honors ``CANCEL_NOTICE`` tombstones
-before dispatching each local task.
+round-trips** on the submission path.  One driver ``TASK`` opens a
+*session* in which the worker drains this queue, reporting each task
+with a one-way ``DONE``, until it reports ``IDLE``.  Between tasks it
+answers ``STEAL_REQUEST``\\ s by granting the tail of the queue
+(ownership makes the grant race-free: what it gives away it provably
+never runs), and honors ``CANCEL_NOTICE`` tombstones before dispatching
+each local task.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from repro.core.actors import (
 from repro.core.effect_driver import EffectHandler, run_effect_loop_sync
 from repro.core.object_ref import ObjectRef
 from repro.core.protocol import normalize_get_refs, unwrap_loaded, validate_wait_args
-from repro.core.task import TaskSpec, _UNSET, build_task_spec, resolve_task_options
+from repro.core.task import TaskSpec, build_task_spec, resolve_task_options
 from repro.core.worker import (
     ErrorValue,
     error_value_from,
@@ -144,16 +146,8 @@ class WorkerRuntime:
         args: tuple = (),
         kwargs: dict = None,
         options: Any = None,
-        resources=None,
-        duration: Any = _UNSET,
-        placement_hint: Any = _UNSET,
-        max_reconstructions=None,
     ) -> Any:
-        options = resolve_task_options(
-            options, resources=resources, duration=duration,
-            placement_hint=placement_hint,
-            max_reconstructions=max_reconstructions,
-        )
+        options = resolve_task_options(options)
         result = self._worker.try_submit_local(
             function, function_name, tuple(args), dict(kwargs or {}), options
         )
@@ -267,7 +261,6 @@ class ProcWorker:
         cache_capacity: int,
         shm_enabled: bool = False,
         inline_threshold: Optional[int] = None,
-        dispatch_mode: str = "driver",
         spawn_token: int = 0,
         spillover_policy: Optional[SpilloverPolicy] = None,
         tracing: bool = False,
@@ -291,9 +284,6 @@ class ProcWorker:
         self.proxy = WorkerRuntime(self)
         self._effect_handler = _ProcEffectHandler(self)
         self.tasks_executed = 0
-        #: The bottom tier of the scheduling plane (bottom_up mode): the
-        #: run queue this process is the sole executor of.
-        self.dispatch_mode = dispatch_mode
         # The default threshold is deliberately high: on this plane the
         # primary rebalancer is work stealing (idle workers pull), so
         # spillover only guards against a worker hoarding an enormous
@@ -301,6 +291,8 @@ class ProcWorker:
         self.spillover = spillover_policy or SpilloverPolicy(
             mode="hybrid", queue_threshold=512.0
         )
+        #: The bottom tier of the scheduling plane: the run queue this
+        #: process is the sole executor of.
         self.local_queue = LocalTaskQueue()
         #: SUBMIT_LOCAL notices not yet PLACED-acked by the driver: the
         #: window of locally-born tasks whose lineage registration is
@@ -344,7 +336,7 @@ class ProcWorker:
         self._shm_holds: list[list] = []
         #: The tracing plane's per-process buffer (no-op unless
         #: ``tracing=True`` was threaded down from init).  Flushed as a
-        #: trailing element on DONE/RESULT/IDLE and, when large, as a
+        #: trailing element on DONE/IDLE and, when large, as a
         #: dedicated SPANS frame at the next rpc.
         self.obs = SpanRecorder(enabled=tracing)
         #: Trace context of the innermost executing task (saved/restored
@@ -474,11 +466,8 @@ class ProcWorker:
             if reply[0] == msg.TASK:
                 payload = reply[1]
                 data, failed = self.execute(payload)
-                if self.dispatch_mode == "bottom_up":
-                    self._flush_notices()
-                    self._send_done(payload["task_id"], data, failed)
-                else:
-                    self._send_result(data, failed)
+                self._flush_notices()
+                self._send_done(payload["task_id"], data, failed)
                 continue
             if self._handle_control(reply):
                 continue
@@ -489,8 +478,8 @@ class ProcWorker:
     # ------------------------------------------------------------------
     # Tracing-aware sends
     # ------------------------------------------------------------------
-    # The recorder piggybacks on messages the worker sends anyway: DONE /
-    # RESULT / IDLE grow an optional trailing obs blob (receivers index
+    # The recorder piggybacks on messages the worker sends anyway: DONE
+    # and IDLE grow an optional trailing obs blob (receivers index
     # from the front, so tracing-off wire shapes are byte-identical).
     # With tracing off, drain() returns None and these collapse to the
     # plain sends.
@@ -501,13 +490,6 @@ class ProcWorker:
             self.conn.send((msg.DONE, task_id, data, failed, blob))
         else:
             self.conn.send((msg.DONE, task_id, data, failed))
-
-    def _send_result(self, data, failed) -> None:
-        blob = self.obs.drain()
-        if blob is not None:
-            self.conn.send((msg.RESULT, data, failed, blob))
-        else:
-            self.conn.send((msg.RESULT, data, failed))
 
     def _send_idle(self) -> None:
         blob = self.obs.drain()
@@ -533,18 +515,7 @@ class ProcWorker:
         # current runtime; in this process that is the driver proxy.
         runtime_context._current_runtime = self.proxy
         try:
-            if self.dispatch_mode == "bottom_up":
-                self._run_bottom_up()
-                return
-            while True:
-                message = self.conn.recv()
-                tag = message[0]
-                if tag == msg.SHUTDOWN:
-                    self._flush_spans()  # final flush: nothing else will
-                    return
-                if tag == msg.TASK:
-                    data, failed = self.execute(message[1])
-                    self._send_result(data, failed)
+            self._run_sessions()
         except (EOFError, OSError, KeyboardInterrupt):
             return  # driver went away (shutdown or crash): just exit
         finally:
@@ -557,11 +528,11 @@ class ProcWorker:
                 pass
 
     # ------------------------------------------------------------------
-    # Bottom-up mode: local queue, steal grants, cancellation tombstones
+    # Sessions: local queue, steal grants, cancellation tombstones
     # ------------------------------------------------------------------
 
-    def _run_bottom_up(self) -> None:
-        """The session loop of bottom-up mode.
+    def _run_sessions(self) -> None:
+        """The worker's main loop.
 
         One driver ``TASK`` opens a session; the worker then alternates
         between the task it was handed and its own local queue (which
@@ -650,8 +621,8 @@ class ProcWorker:
     def try_submit_local(
         self, function, function_name: str, args: tuple, kwargs: dict, options
     ) -> Any:
-        """The bottom-up fast path: keep a nested submission on this
-        worker when every dependency is already resident here.
+        """The nested-submission fast path: keep a nested submission on
+        this worker when every dependency is already resident here.
 
         Returns the refs (``public_result`` shape) on success, or None
         when the task must spill to the driver instead — unresolved or
@@ -660,8 +631,6 @@ class ProcWorker:
         local backlog past the spillover threshold (all but the first
         decided by the shared :class:`SpilloverPolicy`).
         """
-        if self.dispatch_mode != "bottom_up":
-            return None
         if self.unacked_local + len(self._pending_notices) >= MAX_UNACKED_LOCAL:
             return None  # lineage-ack backpressure: spill instead
         refs = [
@@ -956,7 +925,7 @@ class ProcWorker:
                 pinned.append(object_id)
         elif not self.cache.contains(object_id):
             # Inline args are tiny; caching them makes the object count
-            # as locally resident for the bottom-up fast path.
+            # as locally resident for the nested-submission fast path.
             self.remember_bytes(object_id, data)
         return deserialize(data)
 
@@ -1014,7 +983,6 @@ def worker_main(
     cache_capacity: int,
     shm_enabled: bool = False,
     inline_threshold: Optional[int] = None,
-    dispatch_mode: str = "driver",
     spawn_token: int = 0,
     spillover_policy: Optional[SpilloverPolicy] = None,
     tracing: bool = False,
@@ -1027,7 +995,6 @@ def worker_main(
         cache_capacity=cache_capacity,
         shm_enabled=shm_enabled,
         inline_threshold=inline_threshold,
-        dispatch_mode=dispatch_mode,
         spawn_token=spawn_token,
         spillover_policy=spillover_policy,
         tracing=tracing,

@@ -2,9 +2,10 @@
 
 The paper's hybrid bottom-up scheduler exists twice in this repo: once as
 a *model* inside the virtual-time simulator (:mod:`repro.scheduling`) and
-— since this package — once as a *mechanism* shared by the backends that
-execute on real hardware (``local`` threads, ``proc`` processes).  Both
-runtimes assemble the same parts into the same two tiers:
+— since this package — once as a *mechanism* the multiprocess backends
+(``proc``, and ``dist`` on top of it) dispatch through.  The ``local``
+thread backend shares only the counters (all zero there: it places every
+task globally).  The mechanism has two tiers:
 
 * **Worker tier** — every worker owns a :class:`LocalTaskQueue`.  Work
   born on a worker whose dependencies are already resident there is

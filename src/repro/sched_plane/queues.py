@@ -2,7 +2,7 @@
 
 One :class:`LocalTaskQueue` per worker, used in two places at once:
 
-* **inside the worker** (``proc`` child process / ``local`` thread) as
+* **inside the worker** (a ``proc`` or ``dist`` child process) as
   the authoritative run queue the fast path appends to and the worker
   pops from the head of;
 * **on the driver** as the *mirror* of each proc worker's queue, built
@@ -27,7 +27,7 @@ class LocalTaskQueue:
 
     Entries are ``(task_id, item)`` pairs; ``item`` is whatever the
     owner runs (a payload dict in the proc worker, a TaskSpec in the
-    local runtime and in the driver-side mirrors).  All operations are
+    driver-side mirrors).  All operations are
     O(1) amortized; the class is unsynchronized — owners are
     single-threaded, mirrors are touched under the runtime lock.
     """

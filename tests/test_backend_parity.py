@@ -23,17 +23,15 @@ BACKENDS = tuple(sorted(registered_backends()))
 #: The reference implementation the others are compared against.
 REFERENCE = "sim"
 
-#: The full matrix: every backend x every scheduling-plane dispatch mode
-#: of the real backends.  "driver" funnels all dispatch through the
-#: driver; "bottom_up" is the two-level plane (worker-local fast path,
-#: locality-aware spillover, work stealing).  The parity program must be
-#: observably identical across all of them.
+#: The full matrix: every backend, each with its one dispatch plane —
+#: global placement on local threads, the two-level bottom-up plane
+#: (worker-local fast path, locality-aware spillover, work stealing) on
+#: proc and dist.  The parity program must be observably identical
+#: across all of them.
 CONFIGS = {
     "sim": ("sim", {}),
-    "local+driver": ("local", {"dispatch_mode": "driver"}),
-    "local+bottom_up": ("local", {"dispatch_mode": "bottom_up"}),
-    "proc+driver": ("proc", {"dispatch_mode": "driver"}),
-    "proc+bottom_up": ("proc", {"dispatch_mode": "bottom_up"}),
+    "local": ("local", {}),
+    "proc": ("proc", {}),
     # Multi-node: two node agents over TCP, one worker per cpu.  The
     # parity program must not be able to tell it is running across
     # process *and* node boundaries.
@@ -42,10 +40,6 @@ CONFIGS = {
     # program must be oblivious to how its control state is partitioned.
     "proc+sharded_control": ("proc", {"control_shards": 3}),
 }
-
-#: Configs whose cancellation/lifecycle proofs are re-run per dispatch
-#: mode (the bottom-up plane moves dispatch-time drops into workers).
-LIFECYCLE_CONFIGS = tuple(CONFIGS)
 
 
 @repro.remote
@@ -357,7 +351,7 @@ def program_outcomes():
 
 def test_matrix_covers_all_shipped_backends():
     assert {"sim", "local", "proc", "dist"} <= set(BACKENDS)
-    assert {"proc+driver", "proc+bottom_up", "dist"} <= set(CONFIGS)
+    assert set(BACKENDS) <= {backend for backend, _ in CONFIGS.values()}
 
 
 @pytest.mark.parametrize(
@@ -423,11 +417,11 @@ def test_wait_validation_is_shared(backend):
         repro.shutdown()
 
 
-@pytest.mark.parametrize("config", LIFECYCLE_CONFIGS)
+@pytest.mark.parametrize("config", list(CONFIGS))
 def test_cancel_unscheduled_provably_never_runs(tmp_path, config):
     """A task cancelled before its dependencies resolve never executes:
     the side-effect sentinel file it would write must not exist — on any
-    backend and in any dispatch mode, including the multiprocess one
+    backend, including the multiprocess ones
     (the file is the only channel a child process could leak evidence
     through)."""
     backend, init_kwargs = CONFIGS[config]
@@ -466,7 +460,7 @@ def test_cancel_effect_from_task_body(backend):
         repro.shutdown()
 
 
-@pytest.mark.parametrize("config", LIFECYCLE_CONFIGS)
+@pytest.mark.parametrize("config", list(CONFIGS))
 def test_recursive_cancel_tears_down_parked_subgraph(tmp_path, config):
     """cancel(recursive=True) also revokes parked dependents, which then
     never execute (their sentinel files stay absent)."""
@@ -488,7 +482,7 @@ def test_recursive_cancel_tears_down_parked_subgraph(tmp_path, config):
         repro.shutdown()
 
 
-@pytest.mark.parametrize("config", LIFECYCLE_CONFIGS)
+@pytest.mark.parametrize("config", list(CONFIGS))
 def test_multi_return_refs_independently_consumable(config):
     """Each of the k refs stands alone for get and wait."""
     backend, init_kwargs = CONFIGS[config]
@@ -503,7 +497,7 @@ def test_multi_return_refs_independently_consumable(config):
         repro.shutdown()
 
 
-@pytest.mark.parametrize("config", LIFECYCLE_CONFIGS)
+@pytest.mark.parametrize("config", list(CONFIGS))
 def test_interleaved_actor_ordering_is_shared(config):
     """Two actors' call chains are independent but each totally ordered."""
     backend, init_kwargs = CONFIGS[config]

@@ -92,19 +92,21 @@ def test_register_backend_rejects_bad_name():
         register_backend("", lambda: object)
 
 
-@pytest.mark.parametrize("backend", ["local", "sim", "proc"])
+@pytest.mark.parametrize("backend", ["local", "sim", "proc", "dist"])
 def test_unknown_init_kwarg_rejected_with_name_and_options(backend):
     """Misspelled init options must fail loudly (they used to be silently
     swallowed by the local backend's ``**_ignored``), naming the offending
-    kwarg and listing the backend's valid options."""
-    with pytest.raises(BackendError) as excinfo:
-        repro.init(backend=backend, definitely_not_an_option=1)
-    message = str(excinfo.value)
-    assert "definitely_not_an_option" in message
-    assert backend in message
-    assert "valid options" in message
-    assert "seed" in message                 # every builtin accepts seed
-    assert not repro.is_initialized()
+    kwarg and listing the backend's valid options.  ``dispatch_mode`` is
+    no option anywhere: every backend has exactly one dispatch plane."""
+    for option in ("definitely_not_an_option", "dispatch_mode"):
+        with pytest.raises(BackendError) as excinfo:
+            repro.init(backend=backend, **{option: "driver"})
+        message = str(excinfo.value)
+        assert option in message
+        assert backend in message
+        assert "valid options" in message
+        assert "seed" in message             # every builtin accepts seed
+        assert not repro.is_initialized()
 
 
 def test_custom_backend_with_var_kwargs_skips_validation():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import repro
-from repro.errors import TaskError, TimeoutError_
+from repro.errors import GetTimeoutError, TaskError
 
 
 @repro.remote
@@ -74,7 +74,7 @@ def test_error_propagates(local_runtime):
 
 def test_get_timeout(local_runtime):
     ref = slow_identity.remote(1, delay=2.0)
-    with pytest.raises(TimeoutError_):
+    with pytest.raises(GetTimeoutError):
         repro.get(ref, timeout=0.05)
 
 
@@ -174,3 +174,6 @@ def test_stats(local_runtime):
     repro.get([add.remote(i, i) for i in range(5)])
     stats = local_runtime.stats()
     assert stats["tasks_executed"] == 5
+    # Same stats()["sched"] keys as proc/dist; local places every task
+    # globally, so the scheduling-plane counters never move.
+    assert set(stats["sched"].values()) == {0}

@@ -55,12 +55,14 @@ def test_proc_backend_registered():
 def test_capability_flags():
     proc = backend_capabilities("proc")
     assert proc.true_parallelism and proc.multiprocess and proc.fault_injection
+    assert proc.bottom_up_scheduling
     assert not proc.virtual_time
     sim = backend_capabilities("sim")
     assert sim.virtual_time and sim.fault_injection
     assert not sim.true_parallelism
     local = backend_capabilities("local")
     assert not local.true_parallelism       # threads share one GIL
+    assert not local.bottom_up_scheduling   # every task placed globally
     with pytest.raises(BackendError, match="unknown backend"):
         backend_capabilities("does-not-exist")
 
@@ -480,7 +482,7 @@ def test_stats_shape():
 
 
 # ----------------------------------------------------------------------
-# The bottom-up scheduling plane (dispatch_mode="bottom_up")
+# The bottom-up scheduling plane
 # ----------------------------------------------------------------------
 
 
@@ -530,19 +532,6 @@ def gated_fan(count, gate_path, evidence_dir):
         for i in range(count)
     )
     return refs
-
-
-def test_dispatch_mode_validated_and_reported():
-    with pytest.raises(BackendError, match="dispatch_mode"):
-        repro.init(backend="proc", num_workers=1, dispatch_mode="sideways")
-    assert backend_capabilities("proc").bottom_up_scheduling
-    assert backend_capabilities("local").bottom_up_scheduling
-    for mode in ("driver", "bottom_up"):
-        runtime = repro.init(backend="proc", num_workers=1, dispatch_mode=mode)
-        try:
-            assert runtime.stats()["dispatch_mode"] == mode
-        finally:
-            repro.shutdown()
 
 
 class TestBottomUpScheduling:
@@ -597,11 +586,24 @@ class TestBottomUpScheduling:
         finally:
             repro.shutdown()
 
+    def test_sequential_round_trips_never_steal(self):
+        """One task in flight at a time leaves nothing to balance: each
+        task is placed on an idle worker whose service thread wakes on
+        the same notify as its peers, so no peer may raid its queue."""
+        runtime = repro.init(backend="proc", num_workers=2)
+        try:
+            value = 0
+            for _ in range(200):
+                value = repro.get(sched_noop.remote(value), timeout=60.0)
+            assert value == 200
+            assert runtime.stats()["sched"]["tasks_stolen"] == 0
+        finally:
+            repro.shutdown()
+
     def test_blocked_single_worker_self_recovers(self):
-        """driver mode's known limit: a worker blocked in get() on its
-        own nested tasks starves without spare workers.  The bottom-up
-        plane unwedges it — self-steal re-homes the local queue and the
-        service thread injects the tasks back reentrantly."""
+        """A worker blocked in get() on its own nested tasks, with no
+        spare worker to run them: self-steal re-homes the local queue
+        and the service thread injects the tasks back reentrantly."""
         repro.init(backend="proc", num_workers=1)
         try:
             @repro.remote
@@ -653,25 +655,5 @@ class TestBottomUpScheduling:
                 assert repro.get(payload_len.remote(big), timeout=60.0) == 50_000
             sched = runtime.stats()["sched"]
             assert sched["placement_locality_hits"] >= 1
-        finally:
-            repro.shutdown()
-
-    def test_driver_mode_keeps_zero_plane_counters(self):
-        """The ablation baseline really is the old path: no fast-path
-        placements, no steals, no spill accounting."""
-        runtime = repro.init(
-            backend="proc", num_workers=2, dispatch_mode="driver"
-        )
-        try:
-            refs = repro.get(sched_fan.remote(8), timeout=60.0)
-            repro.get(refs, timeout=60.0)
-            sched = runtime.stats()["sched"]
-            assert sched == {
-                "tasks_placed_local": 0,
-                "tasks_spilled": 0,
-                "tasks_placed_global": 0,
-                "tasks_stolen": 0,
-                "placement_locality_hits": 0,
-            }
         finally:
             repro.shutdown()

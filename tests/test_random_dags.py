@@ -3,7 +3,7 @@
 Generates seeded random dataflow graphs (mixed fan-in/fan-out, random
 durations, occasional GPU tasks and nested spawns), evaluates them three
 ways — inline topological evaluation (ground truth), the simulated
-cluster, and the threaded backend — and requires identical values.
+cluster, and the live backends — and requires identical values.
 This is the strongest end-to-end correctness check in the suite: any
 scheduling, dependency-tracking, transfer, or serialization bug shows up
 as a value mismatch.
@@ -65,7 +65,7 @@ def test_sim_backend_matches_inline(seed):
     assert actual == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("seed", [0, 5, 9])
 def test_threaded_backend_matches_inline(seed):
     dag = _random_dag(seed, num_nodes=25)
     expected = _eval_inline(dag)
@@ -73,35 +73,21 @@ def test_threaded_backend_matches_inline(seed):
     assert actual == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("dispatch_mode", ["driver", "bottom_up"])
-def test_threaded_backend_dispatch_modes_match_inline(dispatch_mode):
-    """The scheduling plane is a placement change, not a semantics
-    change: both dispatch modes reproduce exact inline values."""
-    dag = _random_dag(9, num_nodes=25)
-    expected = _eval_inline(dag)
-    actual = _eval_on_backend(
-        dag, "local", num_nodes=2, num_cpus=4, dispatch_mode=dispatch_mode
-    )
-    assert actual == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("dispatch_mode", ["driver", "bottom_up"])
-def test_proc_backend_dispatch_modes_match_inline(dispatch_mode):
-    """Random DAGs on real worker processes: driver-funneled dispatch
-    and the bottom-up plane (fast path + spillover + stealing) must
-    produce identical values — mixed fan-in keeps most submissions on
-    the spillover path while sibling-free chains ride the fast path."""
+def test_proc_backend_matches_inline():
+    """Random DAGs on real worker processes through the bottom-up plane
+    (fast path + spillover + stealing): driver-born placement and
+    dependency gating must produce exact inline values."""
     dag = _random_dag(3, num_nodes=24)
     expected = _eval_inline(dag)
-    actual = _eval_on_backend(
-        dag, "proc", num_nodes=1, num_cpus=2, dispatch_mode=dispatch_mode
-    )
+    actual = _eval_on_backend(dag, "proc", num_nodes=1, num_cpus=2)
     assert actual == pytest.approx(expected, rel=1e-12)
 
 
-def test_proc_nested_random_spawns_match_across_modes():
+def test_proc_nested_random_spawns_match_inline():
     """Tasks that spawn random sub-DAGs (R3) — the workload the fast
-    path exists for — return exact values in both dispatch modes."""
+    path exists for — return exact values.  Two workers, both running a
+    spawner blocked in Get: the children must run reentrantly inside the
+    blocked workers (injection + self-steal), with no spare worker."""
 
     @repro.remote
     def spawner(seed):
@@ -113,21 +99,12 @@ def test_proc_nested_random_spawns_match_across_modes():
         return sum(values)
 
     expected = [sum(_eval_inline(_random_dag(s, num_nodes=10))) for s in (30, 31)]
-    for dispatch_mode in ("driver", "bottom_up"):
-        # 4 workers: driver mode needs spare workers while the spawners
-        # block in Get (it only pumps pinned tasks into blocked workers);
-        # bottom_up unblocks even without spares (reentrant injection +
-        # self-steal), which test_proc_backend proves separately.
-        repro.init(
-            backend="proc", num_nodes=1, num_cpus=4, dispatch_mode=dispatch_mode
-        )
-        try:
-            actual = repro.get(
-                [spawner.remote(30), spawner.remote(31)], timeout=120.0
-            )
-        finally:
-            repro.shutdown()
-        assert actual == pytest.approx(expected, rel=1e-12)
+    repro.init(backend="proc", num_nodes=1, num_cpus=2)
+    try:
+        actual = repro.get([spawner.remote(30), spawner.remote(31)], timeout=120.0)
+    finally:
+        repro.shutdown()
+    assert actual == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["hybrid", "centralized", "local_only"])

@@ -7,13 +7,11 @@ across every registered backend where submission is involved — plus the
 decorator/options symmetry fixes and the runtime-epoch registration fix.
 """
 
-import warnings
-
 import pytest
 
 import repro
 from repro.core.backend import registered_backends
-from repro.core.task import TaskOptions, resolve_task_options
+from repro.core.task import ResourceRequest, TaskOptions, resolve_task_options
 from repro.core.actors import ActorOptions
 
 BACKENDS = tuple(sorted(registered_backends()))
@@ -85,13 +83,13 @@ class TestOptionsDataclasses:
         opts = TaskOptions(num_cpus=2)
         assert resolve_task_options(opts) is opts
 
-    def test_resolve_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            opts = resolve_task_options(None, duration=0.5)
-        assert opts.duration == 0.5
-
-    def test_resolve_rejects_mixing(self):
-        with pytest.raises(TypeError, match="not both"):
+    def test_resolve_rejects_legacy_forms(self):
+        """Options travel only as a TaskOptions: the old per-kwarg and
+        positional-ResourceRequest forms are gone, not deprecated."""
+        assert resolve_task_options(None) == TaskOptions()
+        with pytest.raises(TypeError, match="must be a TaskOptions"):
+            resolve_task_options(ResourceRequest(num_cpus=2))
+        with pytest.raises(TypeError, match="duration"):
             resolve_task_options(TaskOptions(), duration=0.5)
 
 
@@ -184,30 +182,6 @@ class TestOptionsAcrossBackends:
             with pytest.raises(repro.TaskError) as err:
                 repro.get(renamed.remote())
             assert err.value.function_name == "renamed_boom"
-        finally:
-            repro.shutdown()
-
-    def test_legacy_submit_task_kwargs_still_work(self, backend):
-        repro.init(backend=backend, num_nodes=1, num_cpus=1, seed=5)
-        try:
-            runtime = repro.get_runtime()
-
-            def double(x):
-                return 2 * x
-
-            function_id = runtime.register_function(double, "double")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # fail on anything BUT the
-                warnings.simplefilter("always", DeprecationWarning)
-                ref = runtime.submit_task(
-                    function=double,
-                    function_id=function_id,
-                    function_name="double",
-                    args=(21,),
-                    kwargs={},
-                    placement_hint=None,
-                )
-            assert repro.get(ref) == 42
         finally:
             repro.shutdown()
 

@@ -141,16 +141,6 @@ def test_e10_serving_slo(benchmark):
         ],
     )
 
-    # The acceptance bar from the issue: >= 1k QPS sustained with a p99 SLO.
-    assert metrics["qps_achieved"] >= SLO_MIN_QPS, (
-        f"sustained only {metrics['qps_achieved']:,.0f} QPS"
-    )
-    assert metrics["p99_ms"] <= SLO_P99_MS, (
-        f"p99 {metrics['p99_ms']:.1f} ms blew the {SLO_P99_MS:.0f} ms SLO"
-    )
-    # Micro-batching actually engaged under load.
-    assert metrics["largest_batch"] > 1
-
     emitted = {
         "qps_achieved": round(metrics["qps_achieved"]),
         "p50_ms": round(metrics["p50_ms"], 3),
@@ -161,6 +151,16 @@ def test_e10_serving_slo(benchmark):
     }
     benchmark.extra_info.update(emitted)
     emit_bench_json("e10", emitted)
+
+    # The serving SLO: >= 1k QPS sustained with a p99 bound.
+    assert metrics["qps_achieved"] >= SLO_MIN_QPS, (
+        f"sustained only {metrics['qps_achieved']:,.0f} QPS"
+    )
+    assert metrics["p99_ms"] <= SLO_P99_MS, (
+        f"p99 {metrics['p99_ms']:.1f} ms blew the {SLO_P99_MS:.0f} ms SLO"
+    )
+    # Micro-batching actually engaged under load.
+    assert metrics["largest_batch"] > 1
 
 
 def test_e10_batching_speedup(benchmark):
@@ -186,10 +186,6 @@ def test_e10_batching_speedup(benchmark):
     )
     print(f"batching speedup: {speedup:.2f}x")
 
-    assert speedup >= SPEEDUP_MIN, (
-        f"batching only bought {speedup:.2f}x (need {SPEEDUP_MIN:.1f}x)"
-    )
-
     emitted = {
         "batched_speedup": round(speedup, 2),
         "batched_qps": round(SPEEDUP_REQUESTS / sweep["batched"]),
@@ -197,3 +193,7 @@ def test_e10_batching_speedup(benchmark):
     }
     benchmark.extra_info.update(emitted)
     emit_bench_json("e10", emitted)
+
+    assert speedup >= SPEEDUP_MIN, (
+        f"batching only bought {speedup:.2f}x (need {SPEEDUP_MIN:.1f}x)"
+    )

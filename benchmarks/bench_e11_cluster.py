@@ -166,11 +166,6 @@ def test_e11_descriptor_first_transfer(benchmark):
     )
     print(f"descriptor-first moves {ratio:.1f}x fewer bytes")
 
-    assert ratio >= TRANSFER_RATIO_MIN, (
-        f"descriptor-first only saved {ratio:.2f}x bytes "
-        f"(need {TRANSFER_RATIO_MIN:.1f}x)"
-    )
-
     emitted = {
         "descriptor_bytes_moved": sweep["descriptor"],
         "naive_bytes_moved": sweep["naive"],
@@ -179,6 +174,11 @@ def test_e11_descriptor_first_transfer(benchmark):
     }
     benchmark.extra_info.update(emitted)
     emit_bench_json("e11", emitted)
+
+    assert ratio >= TRANSFER_RATIO_MIN, (
+        f"descriptor-first only saved {ratio:.2f}x bytes "
+        f"(need {TRANSFER_RATIO_MIN:.1f}x)"
+    )
 
 
 def test_e11_two_node_cpu_scaling(benchmark):
@@ -207,11 +207,6 @@ def test_e11_two_node_cpu_scaling(benchmark):
     )
     print(f"2-node scaling: {speedup:.2f}x ({cores} cores visible)")
 
-    if cores >= 2:
-        assert speedup >= SCALING_MIN, (
-            f"two nodes only bought {speedup:.2f}x (need {SCALING_MIN:.1f}x)"
-        )
-
     emitted = {
         "scaling_speedup": round(speedup, 2),
         "one_node_makespan_s": round(sweep["one_node"], 3),
@@ -221,3 +216,8 @@ def test_e11_two_node_cpu_scaling(benchmark):
     }
     benchmark.extra_info.update(emitted)
     emit_bench_json("e11", emitted)
+
+    if cores >= 2:
+        assert speedup >= SCALING_MIN, (
+            f"two nodes only bought {speedup:.2f}x (need {SCALING_MIN:.1f}x)"
+        )

@@ -194,12 +194,12 @@ successor systems' extensions (6–8):
 
 13. **every component is stateless — including the driver**
     (:mod:`repro.gcs`): the live backends keep lineage, the object
-    directory, and the actor registry in a hash-sharded control store
+    directory, and the actor registry in a control store
     (the paper's GCS) that outlives the runtime that created it.
     ``task_put`` is written ahead of dispatch, results small enough to
     inline ride the object table, and ``init(...,
     control_store=store, recover=True)`` rebuilds a *fresh* driver
-    from the shards: finished work answers from recovered payloads,
+    from its tables: finished work answers from recovered payloads,
     tasks the dead driver never finished are resubmitted (exactly
     once — write-ahead lineage, generation-salted ids), and lost
     actors surface ``ActorLostError`` rather than silently restarting

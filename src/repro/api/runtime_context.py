@@ -44,13 +44,14 @@ def init(backend: str = "sim", **kwargs: Any):
         memory fall back automatically).  ``proc`` and ``dist`` dispatch
         through the bottom-up scheduling plane (see
         :mod:`repro.sched_plane`: worker-local fast path, locality-aware
-        spillover placement, work stealing), tuned by the
-        ``placement_policy``, ``spillover_policy``, and ``steal_policy``
-        objects from :mod:`repro.scheduling.policies`; ``local`` places
-        every task globally.  Scheduler counters surface in
-        ``get_runtime().stats()["sched"]``.  All live backends accept
-        ``tracing=True`` to collect a wall-clock event log across every
-        process (see :mod:`repro.obs`); the sim's log is always on.
+        spillover placement, work stealing) with the default policies
+        from :mod:`repro.scheduling.policies`; ``local`` places every
+        task globally.  Replacing a policy (``placement_policy``,
+        ``spillover_policy``) is a sim-only ablation option.  Scheduler
+        counters surface in ``get_runtime().stats()["sched"]``.  All
+        live backends accept ``tracing=True`` to collect a wall-clock
+        event log across every process (see :mod:`repro.obs`); the
+        sim's log is always on.
         Every backend reports ``stats()["obs"]`` either way.
     """
     global _current_runtime

@@ -319,7 +319,7 @@ class NodeAgent:
                 child_conn, global_index, config["seed"],
                 config["worker_cache_bytes"], self.shm is not None,
                 config["inline_threshold"], spawn_token,
-                config["spillover_policy"], config.get("tracing", False),
+                config.get("tracing", False),
             ),
             name=f"repro-dist-worker-{self.node_index}-{channel}",
             daemon=True,

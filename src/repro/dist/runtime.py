@@ -362,10 +362,6 @@ class DistRuntime(ProcRuntime):
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
         worker_cache_bytes: int = 64 * 1024**2,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
-        placement_policy: Any = None,
-        spillover_policy: Any = None,
-        steal_policy: Any = None,
-        control_shards: int = 8,
         control_store: Any = None,
         recover: bool = False,
         tracing: bool = False,
@@ -423,7 +419,6 @@ class DistRuntime(ProcRuntime):
             "worker_cache_bytes": worker_cache_bytes,
             "shm_capacity": per_node_shm,
             "inline_threshold": inline_threshold,
-            "spillover_policy": spillover_policy,
             "total_workers": num_nodes * workers_per_node,
             "store_capacity": cluster.nodes[0].object_store_capacity,
             "heartbeat_interval": self._heartbeat_interval,
@@ -439,10 +434,6 @@ class DistRuntime(ProcRuntime):
                 inline_threshold=inline_threshold,
                 worker_cache_bytes=worker_cache_bytes,
                 shm_capacity=0,  # no driver arena: data lives on the nodes
-                placement_policy=placement_policy,
-                spillover_policy=spillover_policy,
-                steal_policy=steal_policy,
-                control_shards=control_shards,
                 control_store=control_store,
                 recover=recover,
                 tracing=tracing,

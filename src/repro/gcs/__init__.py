@@ -1,29 +1,28 @@
-"""The real Global Control Store (sharded control plane + driver HA).
+"""The real Global Control Store (control plane + driver HA).
 
 ``ControlStore`` is the live-backend promotion of the sim's modeled
-control plane: the same hash-sharded object/task/actor tables
-(:mod:`repro.gcs.tables`, shared with :mod:`repro.store.control_plane`),
-lock-striped across N shards with a per-shard append-only event log,
-synchronous write-ahead lineage, async fire-and-forget state writes, and
-optional per-shard durable WALs.  ``plan_recovery`` turns a store that
-outlived its driver into the exact restore/resubmit plan a fresh runtime
-executes (``init(..., control_store=store, recover=True)``).
+control plane: the same object/task/actor tables (:mod:`repro.gcs.tables`,
+shared with :mod:`repro.store.control_plane`) and an append-only event
+log behind one lock, with synchronous write-ahead lineage, async
+fire-and-forget state writes, and an optional durable WAL.  The sim keeps
+the paper's sharding as a model (``num_gcs_shards``).  ``plan_recovery``
+turns a store that outlived its driver into the exact restore/resubmit
+plan a fresh runtime executes (``init(..., control_store=store,
+recover=True)``).
 """
 
 from repro.gcs.recovery import RecoveryPlan, plan_recovery
-from repro.gcs.store import ControlShard, ControlStore
+from repro.gcs.store import ControlStore
 from repro.gcs.tables import (
     ActorEntry,
     NodeInfo,
     ObjectEntry,
     TaskEntry,
     hash_key,
-    shard_of,
 )
 
 __all__ = [
     "ActorEntry",
-    "ControlShard",
     "ControlStore",
     "NodeInfo",
     "ObjectEntry",
@@ -31,5 +30,4 @@ __all__ = [
     "TaskEntry",
     "hash_key",
     "plan_recovery",
-    "shard_of",
 ]

@@ -58,7 +58,7 @@ class RecoveryPlan:
 
 
 def plan_recovery(store, *, flush_timeout: Optional[float] = 30.0) -> RecoveryPlan:
-    """Read the shards and decide: restore, resubmit, or mark lost."""
+    """Read the store's tables and decide: restore, resubmit, or mark lost."""
     store.flush(timeout=flush_timeout)
     snap = store.snapshot()
     objects = snap["objects"]

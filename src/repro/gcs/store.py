@@ -1,10 +1,12 @@
-"""The real sharded control store (the paper's GCS) for live backends.
+"""The real control store (the paper's GCS) for live backends.
 
 The sim models a sharded control plane with queueing and service costs
-(:mod:`repro.store.control_plane`); this module is the same design running
-for real: object/task/actor tables hash-partitioned across N lock-striped
-shards, an append-only event log per shard, and fire-and-forget async
-writes on hot paths mirroring the sim's ``async_*`` idiom.
+(:mod:`repro.store.control_plane`); this module is the store the live
+runtimes use: object/task/actor tables and an append-only event log
+behind one lock, with fire-and-forget async writes on hot paths mirroring
+the sim's ``async_*`` idiom.  One lock suffices because the only
+synchronous writer is the driver, already serialized by its runtime
+lock; every other write rides the single async writer thread.
 
 Design rules the runtimes rely on:
 
@@ -12,19 +14,14 @@ Design rules the runtimes rely on:
   a task is dispatched, so crash replay always finds the spec.  State
   transitions, residency updates, and actor bookkeeping ride the async
   writer thread instead; ``flush()`` drains it (recovery calls this first).
-* **Stable routing** — a key's shard depends only on its bytes
-  (:func:`repro.gcs.tables.shard_of`), never on process state, so a
-  restarted driver reads exactly where the dead one wrote.
 * **Optional durability** — give the store a ``wal_dir`` and every applied
-  write is appended to a per-shard write-ahead log file;
-  :meth:`ControlStore.open` rebuilds the tables from those files.  With
+  write is appended, in apply order, to one write-ahead log file;
+  :meth:`ControlStore.open` rebuilds the tables from it.  With
   ``wal_sync=True`` a mutation returns only once its record is fsynced,
-  but the fsync runs *outside* the shard lock and group-commits: one
+  but the fsync runs *outside* the store lock and group-commits: one
   flush covers every record appended before it, so concurrent writers
-  batch instead of queueing a disk flush each.  Because each shard owns
-  its own WAL fd, commits on different shards also overlap in the
-  kernel — shard striping plus group commit is what ``bench_e12``
-  measures against the old single-lock driver layout.
+  batch instead of queueing a disk flush each.  That batching is what
+  ``bench_e12`` measures against the old single-lock driver layout.
 """
 
 from __future__ import annotations
@@ -36,9 +33,9 @@ import queue
 import struct
 import threading
 import time
-from typing import Any, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from repro.gcs.tables import ActorEntry, ObjectEntry, TaskEntry, shard_of
+from repro.gcs.tables import ActorEntry, ObjectEntry, TaskEntry
 from repro.store.event_log import EventLog
 
 try:  # cloudpickle widens what the WAL can persist (closures in specs)
@@ -47,53 +44,12 @@ except Exception:  # pragma: no cover - cloudpickle is a baked-in dep
     _wal_pickler = None
 
 _LEN = struct.Struct(">I")
-
-
-class ControlShard:
-    """One lock-striped partition of the control state."""
-
-    __slots__ = (
-        "index",
-        "lock",
-        "objects",
-        "tasks",
-        "actors",
-        "names",
-        "event_log",
-        "ops",
-        "contended",
-        "waiting",
-        "max_waiting",
-        "wal_fd",
-        "wal_records",
-        "wal_synced",
-        "sync_lock",
-    )
-
-    def __init__(self, index: int, wal_fd: Optional[int] = None) -> None:
-        self.index = index
-        self.lock = threading.Lock()
-        self.objects: dict = {}
-        self.tasks: dict = {}
-        self.actors: dict = {}
-        #: name -> actor_id index (names hash to this shard).
-        self.names: dict = {}
-        self.event_log = EventLog()
-        # Best-effort counters (racy increments lose at most a few counts;
-        # the uniform stats() contract promises keys, not exactness).
-        self.ops = 0
-        self.contended = 0
-        self.waiting = 0
-        self.max_waiting = 0
-        self.wal_fd = wal_fd
-        self.wal_records = 0
-        #: Highest record index covered by an fsync (group commit).
-        self.wal_synced = 0
-        self.sync_lock = threading.Lock()
+#: Name of the write-ahead log file inside ``wal_dir``.
+WAL_FILE = "control.wal"
 
 
 class ControlStore:
-    """Hash-sharded object/task/actor tables behind striped locks.
+    """Object/task/actor tables, event log, and WAL behind one lock.
 
     Thread-safe; shared by the driver's service threads and any number of
     submitter threads.  A single instance can outlive the driver that
@@ -103,43 +59,51 @@ class ControlStore:
 
     def __init__(
         self,
-        num_shards: int = 8,
         *,
         wal_dir: Optional[str] = None,
         wal_sync: bool = False,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        self.num_shards = num_shards
         self.wal_dir = wal_dir
         self.wal_sync = wal_sync
         self._clock = clock
         self._closed = False
 
-        fds: list[Optional[int]] = [None] * num_shards
+        self._lock = threading.Lock()
+        self._objects: dict = {}
+        self._tasks: dict = {}
+        self._actors: dict = {}
+        #: name -> actor_id index.
+        self._names: dict = {}
+        self._event_log = EventLog()
+        # Best-effort counters (racy increments lose at most a few counts;
+        # the uniform stats() contract promises keys, not exactness).
+        self._ops = 0
+        self._contended = 0
+        self._waiting = 0
+        self._max_waiting = 0
+
+        self._wal_fd: Optional[int] = None
         if wal_dir is not None:
             os.makedirs(wal_dir, exist_ok=True)
-            fds = [
-                os.open(
-                    os.path.join(wal_dir, f"shard-{i:02d}.wal"),
-                    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                    0o644,
-                )
-                for i in range(num_shards)
-            ]
-        self._shards = [ControlShard(i, fds[i]) for i in range(num_shards)]
+            self._wal_fd = os.open(
+                os.path.join(wal_dir, WAL_FILE),
+                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                0o644,
+            )
+        self._wal_records = 0
+        #: Highest record index covered by an fsync (group commit).
+        self._wal_synced = 0
+        self._sync_lock = threading.Lock()
 
         #: Driver generations handed out so far (id-namespace salting).
         self._generation = 0
-        self._gen_lock = threading.Lock()
         self._replaying = False
         self.wal_skipped = 0
 
         # Fire-and-forget writer: hot paths enqueue, one daemon applies.
         self._async_queue: "queue.Queue" = queue.Queue()
         self._async_backlog_max = 0
-        self._async_applied = 0
         self._async_paused = threading.Event()
         self._async_paused.set()  # set == running
         self._writer = threading.Thread(
@@ -148,18 +112,12 @@ class ControlStore:
         self._writer.start()
 
     # ------------------------------------------------------------------
-    # Routing and plumbing
+    # Plumbing
     # ------------------------------------------------------------------
-
-    def shard_index(self, key: Any) -> int:
-        return shard_of(key, self.num_shards)
-
-    def _shard(self, key: Any) -> ControlShard:
-        return self._shards[shard_of(key, self.num_shards)]
 
     def _apply(
         self,
-        key: Any,
+        key,
         kind: str,
         mutate,
         *,
@@ -167,13 +125,12 @@ class ControlStore:
         wal: Optional[tuple] = None,
         **payload,
     ):
-        """Run one mutation under the owning shard's lock (+ event + WAL).
+        """Run one mutation under the store lock (+ event + WAL).
 
         ``wal`` is ``(op_name, kwargs)`` — the full public-API mutation, so
-        :meth:`open` can replay it verbatim.  ``None`` skips the WAL (reads,
-        derived index writes).
+        :meth:`open` can replay it verbatim.  ``None`` skips the WAL (reads).
 
-        Durable mode group-commits: the WAL append happens under the shard
+        Durable mode group-commits: the WAL append happens under the store
         lock (so the on-disk record order matches the apply order) but the
         fsync happens *after* the lock is released.  An fsync covers every
         record appended before it, so a thread whose record was already
@@ -181,71 +138,70 @@ class ControlStore:
         the classic group-commit batching, and the reason colliding
         submitters don't serialize behind each other's disk flushes.
         """
-        shard = self._shard(key)
         # Encode the WAL record before taking the lock: it depends only on
         # the arguments, and pickling is the priciest CPU step — doing it
         # inside the critical section would serialize colliding writers
         # behind it on top of the append itself.
         blob = None
-        if wal is not None and shard.wal_fd is not None and not self._replaying:
+        if wal is not None and self._wal_fd is not None and not self._replaying:
             blob = self._wal_encode((wal[0], key, wal[1]))
             if blob is None:
                 self.wal_skipped += 1
-        lock = shard.lock
+        lock = self._lock
         if not lock.acquire(blocking=False):
-            shard.contended += 1
-            shard.waiting += 1
-            if shard.waiting > shard.max_waiting:
-                shard.max_waiting = shard.waiting
+            self._contended += 1
+            self._waiting += 1
+            if self._waiting > self._max_waiting:
+                self._max_waiting = self._waiting
             lock.acquire()
-            shard.waiting -= 1
+            self._waiting -= 1
         wal_seq = None
         try:
-            shard.ops += 1
-            result = mutate(shard)
+            self._ops += 1
+            result = mutate()
             if log:
-                shard.event_log.append(self._clock(), kind, key=str(key), **payload)
-            if blob is not None and shard.wal_fd is not None:
-                wal_seq = self._wal_append(shard, blob)
+                self._event_log.append(self._clock(), kind, key=str(key), **payload)
+            if blob is not None and self._wal_fd is not None:
+                wal_seq = self._wal_append(blob)
         finally:
             lock.release()
         # Only synchronous callers pay for durability; the async writer
         # thread appends without committing (write-ahead ordering only
         # promises that *sync* ops — the lineage writes — are on disk
         # before the caller proceeds).  Its records become durable with
-        # the next sync commit on the shard, or at :meth:`close`.
+        # the next sync commit, or at :meth:`close`.
         if (
             wal_seq is not None
             and self.wal_sync
             and threading.current_thread() is not self._writer
         ):
-            self._wal_commit(shard, wal_seq)
+            self._wal_commit(wal_seq)
         return result
 
-    def _wal_append(self, shard: ControlShard, blob: bytes) -> int:
-        """Append one pre-encoded record (caller holds the shard lock);
+    def _wal_append(self, blob: bytes) -> int:
+        """Append one pre-encoded record (caller holds the store lock);
         returns its 1-based sequence number."""
-        os.write(shard.wal_fd, _LEN.pack(len(blob)) + blob)
-        shard.wal_records += 1
-        return shard.wal_records
+        os.write(self._wal_fd, _LEN.pack(len(blob)) + blob)
+        self._wal_records += 1
+        return self._wal_records
 
-    def _wal_commit(self, shard: ControlShard, seq: int) -> None:
+    def _wal_commit(self, seq: int) -> None:
         """Make record ``seq`` durable, batching with concurrent commits.
 
-        ``wal_records`` is only incremented after its ``os.write`` completes
-        (under the shard lock), so reading it here — without the lock —
-        yields a conservative high-water mark: every record at or below it
-        is fully in the page cache and one fsync covers them all.
+        ``_wal_records`` is only incremented after its ``os.write``
+        completes (under the store lock), so reading it here — without the
+        lock — yields a conservative high-water mark: every record at or
+        below it is fully in the page cache and one fsync covers them all.
         """
-        if shard.wal_synced >= seq:
+        if self._wal_synced >= seq:
             return  # a later thread's commit already covered our record
-        with shard.sync_lock:
-            if shard.wal_synced >= seq:
+        with self._sync_lock:
+            if self._wal_synced >= seq:
                 return
-            covered = shard.wal_records
-            os.fsync(shard.wal_fd)
-            if covered > shard.wal_synced:
-                shard.wal_synced = covered
+            covered = self._wal_records
+            os.fsync(self._wal_fd)
+            if covered > self._wal_synced:
+                self._wal_synced = covered
 
     def _wal_encode(self, record: tuple) -> Optional[bytes]:
         try:
@@ -266,10 +222,10 @@ class ControlStore:
         """Write-ahead lineage record.  SYNCHRONOUS by contract: runtimes
         call this before dispatching, so a crash can always replay."""
 
-        def mutate(shard: ControlShard):
-            entry = shard.tasks.get(task_id)
+        def mutate():
+            entry = self._tasks.get(task_id)
             if entry is None:
-                shard.tasks[task_id] = TaskEntry(
+                self._tasks[task_id] = TaskEntry(
                     task_id=task_id,
                     spec=spec,
                     state=state,
@@ -297,10 +253,10 @@ class ControlStore:
         node=None,
         attempt: bool = False,
     ) -> None:
-        def mutate(shard: ControlShard):
-            entry = shard.tasks.get(task_id)
+        def mutate():
+            entry = self._tasks.get(task_id)
             if entry is None:
-                entry = shard.tasks[task_id] = TaskEntry(task_id=task_id, spec=None)
+                entry = self._tasks[task_id] = TaskEntry(task_id=task_id, spec=None)
             if state is not None:
                 entry.state = state
                 entry.timestamps[state] = self._clock()
@@ -318,14 +274,15 @@ class ControlStore:
         )
 
     def task_get(self, task_id) -> Optional[TaskEntry]:
-        def read(shard: ControlShard):
-            entry = shard.tasks.get(task_id)
+        def read():
+            entry = self._tasks.get(task_id)
             return entry.snapshot() if entry is not None else None
 
         return self._apply(task_id, "task_lookup", read, log=False)
 
     def tasks(self) -> list:
-        return self._scan(lambda shard: [e.snapshot() for e in shard.tasks.values()])
+        with self._lock:
+            return [e.snapshot() for e in self._tasks.values()]
 
     # ------------------------------------------------------------------
     # Object table (directory + inline payloads)
@@ -342,10 +299,10 @@ class ControlStore:
         producer_task=None,
         payload: Optional[bytes] = None,
     ) -> None:
-        def mutate(shard: ControlShard):
-            entry = shard.objects.get(object_id)
+        def mutate():
+            entry = self._objects.get(object_id)
             if entry is None:
-                entry = shard.objects[object_id] = ObjectEntry(object_id=object_id)
+                entry = self._objects[object_id] = ObjectEntry(object_id=object_id)
             if size is not None:
                 entry.size = size
             if location is not None:
@@ -378,8 +335,8 @@ class ControlStore:
         )
 
     def object_get(self, object_id) -> Optional[ObjectEntry]:
-        def read(shard: ControlShard):
-            entry = shard.objects.get(object_id)
+        def read():
+            entry = self._objects.get(object_id)
             return entry.snapshot() if entry is not None else None
 
         return self._apply(object_id, "object_lookup", read, log=False)
@@ -388,7 +345,8 @@ class ControlStore:
         self.object_put(object_id, drop_location=location)
 
     def objects(self) -> list:
-        return self._scan(lambda shard: [e.snapshot() for e in shard.objects.values()])
+        with self._lock:
+            return [e.snapshot() for e in self._objects.values()]
 
     # ------------------------------------------------------------------
     # Actor table (registry + name index)
@@ -403,10 +361,12 @@ class ControlStore:
         node=None,
         state: str = "alive",
     ) -> None:
-        def mutate(shard: ControlShard):
-            shard.actors[actor_id] = ActorEntry(
+        def mutate():
+            self._actors[actor_id] = ActorEntry(
                 actor_id=actor_id, spec=spec, name=name, node=node, state=state
             )
+            if name is not None:
+                self._names[name] = actor_id
 
         self._apply(
             actor_id,
@@ -418,19 +378,14 @@ class ControlStore:
                 {"spec": spec, "name": name, "node": node, "state": state},
             ),
         )
-        if name is not None:
-            def index(shard: ControlShard):
-                shard.names[name] = actor_id
-
-            self._apply(name, "actor_named", index, name=name)
 
     def actor_update(
         self, actor_id, *, state: Optional[str] = None, node=None, method_inc: bool = False
     ) -> None:
-        def mutate(shard: ControlShard):
-            entry = shard.actors.get(actor_id)
+        def mutate():
+            entry = self._actors.get(actor_id)
             if entry is None:
-                entry = shard.actors[actor_id] = ActorEntry(actor_id=actor_id)
+                entry = self._actors[actor_id] = ActorEntry(actor_id=actor_id)
             if state is not None:
                 entry.state = state
             if node is not None:
@@ -450,20 +405,21 @@ class ControlStore:
         )
 
     def actor_get(self, actor_id) -> Optional[ActorEntry]:
-        def read(shard: ControlShard):
-            entry = shard.actors.get(actor_id)
+        def read():
+            entry = self._actors.get(actor_id)
             return entry.snapshot() if entry is not None else None
 
         return self._apply(actor_id, "actor_lookup", read, log=False)
 
     def actor_by_name(self, name: str):
-        def read(shard: ControlShard):
-            return shard.names.get(name)
+        def read():
+            return self._names.get(name)
 
         return self._apply(name, "actor_name_lookup", read, log=False)
 
     def actors(self) -> list:
-        return self._scan(lambda shard: [e.snapshot() for e in shard.actors.values()])
+        with self._lock:
+            return [e.snapshot() for e in self._actors.values()]
 
     # ------------------------------------------------------------------
     # Async (fire-and-forget) variants — the sim's ``async_*`` idiom
@@ -504,7 +460,6 @@ class ControlStore:
             except Exception:  # never kill the writer; stats expose backlog
                 pass
             finally:
-                self._async_applied += 1
                 self._async_queue.task_done()
 
     def flush(self, timeout: Optional[float] = None) -> bool:
@@ -534,17 +489,13 @@ class ControlStore:
     def register_generation(self) -> int:
         """Hand out the next driver generation (salts the id namespace so a
         recovered driver can never mint an id the dead one already used)."""
-        with self._gen_lock:
+        with self._lock:
             self._generation += 1
             generation = self._generation
-
-        def mutate(shard: ControlShard):
-            return None
-
         self._apply(
             f"generation/{generation}",
             "driver_generation",
-            mutate,
+            lambda: None,
             generation=generation,
             wal=("generation", {"generation": generation}),
         )
@@ -554,41 +505,29 @@ class ControlStore:
     def generation(self) -> int:
         return self._generation
 
-    def _scan(self, collect) -> list:
-        out: list = []
-        for shard in self._shards:
-            with shard.lock:
-                out.extend(collect(shard))
-        return out
-
     def snapshot(self) -> dict:
-        """Consistent-enough copy of every table, shard by shard."""
-        objects: dict = {}
-        tasks: dict = {}
-        actors: dict = {}
-        for shard in self._shards:
-            with shard.lock:
-                objects.update({k: v.snapshot() for k, v in shard.objects.items()})
-                tasks.update({k: v.snapshot() for k, v in shard.tasks.items()})
-                actors.update({k: v.snapshot() for k, v in shard.actors.items()})
-        return {"objects": objects, "tasks": tasks, "actors": actors}
+        """Consistent copy of every table."""
+        with self._lock:
+            return {
+                "objects": {k: v.snapshot() for k, v in self._objects.items()},
+                "tasks": {k: v.snapshot() for k, v in self._tasks.items()},
+                "actors": {k: v.snapshot() for k, v in self._actors.items()},
+            }
 
     def events(self, kind: Optional[str] = None) -> list:
-        records: list = []
-        for shard in self._shards:
-            with shard.lock:
-                records.extend(shard.event_log.filter(kind=kind))
-        records.sort(key=lambda r: r.timestamp)
-        return records
+        with self._lock:
+            return self._event_log.filter(kind=kind)
 
     def stats(self) -> dict:
+        # The schema is the sim's sharded control plane's; the live store
+        # is its one-shard case.
         return {
-            "num_shards": self.num_shards,
-            "ops_total": sum(s.ops for s in self._shards),
-            "ops_per_shard": [s.ops for s in self._shards],
-            "max_shard_queue": max(s.max_waiting for s in self._shards),
-            "contended_ops": sum(s.contended for s in self._shards),
-            "event_log_len": sum(len(s.event_log) for s in self._shards),
+            "num_shards": 1,
+            "ops_total": self._ops,
+            "ops_per_shard": [self._ops],
+            "max_shard_queue": self._max_waiting,
+            "contended_ops": self._contended,
+            "event_log_len": len(self._event_log),
             "async_backlog": self._async_queue.qsize(),
             "async_backlog_max": self._async_backlog_max,
             "generation": self._generation,
@@ -600,22 +539,14 @@ class ControlStore:
 
     @classmethod
     def open(cls, wal_dir: str, *, resume_wal: bool = False) -> "ControlStore":
-        """Rebuild a store from the per-shard WAL files in ``wal_dir``.
+        """Rebuild a store from the WAL in ``wal_dir``, in apply order.
 
-        ``resume_wal=True`` reopens the logs for appending (continuing the
+        ``resume_wal=True`` reopens the log for appending (continuing the
         same history); the default replays into a memory-only store.
         """
-        names = sorted(
-            n for n in os.listdir(wal_dir)
-            if n.startswith("shard-") and n.endswith(".wal")
-        )
-        if not names:
-            raise FileNotFoundError(f"no shard-*.wal files in {wal_dir!r}")
-        records: list = []
-        for name in names:
-            with open(os.path.join(wal_dir, name), "rb") as fh:
-                records.extend(_read_wal(fh))
-        store = cls(num_shards=len(names), wal_dir=wal_dir if resume_wal else None)
+        with open(os.path.join(wal_dir, WAL_FILE), "rb") as fh:
+            records = list(_read_wal(fh))
+        store = cls(wal_dir=wal_dir if resume_wal else None)
         store._replaying = True
         replayed = 0
         try:
@@ -642,7 +573,7 @@ class ControlStore:
         elif op == "actor_update":
             self.actor_update(key, **kwargs)
         elif op == "generation":
-            with self._gen_lock:
+            with self._lock:
                 self._generation = max(self._generation, kwargs.get("generation", 0))
         else:
             return False
@@ -655,15 +586,14 @@ class ControlStore:
         self._async_paused.set()
         self._async_queue.put(None)
         self._writer.join(timeout=2.0)
-        for shard in self._shards:
-            if shard.wal_fd is not None:
-                try:
-                    if self.wal_sync and shard.wal_records > shard.wal_synced:
-                        os.fsync(shard.wal_fd)  # async-writer tail records
-                    os.close(shard.wal_fd)
-                except OSError:
-                    pass
-                shard.wal_fd = None
+        if self._wal_fd is not None:
+            try:
+                if self.wal_sync and self._wal_records > self._wal_synced:
+                    os.fsync(self._wal_fd)  # async-writer tail records
+                os.close(self._wal_fd)
+            except OSError:
+                pass
+            self._wal_fd = None
 
     @property
     def closed(self) -> bool:

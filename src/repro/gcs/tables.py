@@ -109,17 +109,13 @@ class NodeInfo:
 
 
 def hash_key(key: Any) -> int:
-    """Stable shard hash for IDs and strings (restart-invariant)."""
-    if isinstance(key, BaseID):
-        return int(key.hex[:8], 16)
-    digest = hashlib.sha1(str(key).encode("utf-8")).hexdigest()
-    return int(digest[:8], 16)
-
-
-def shard_of(key: Any, num_shards: int) -> int:
-    """Shard routing used by *both* control planes.
+    """Stable shard hash for IDs and strings (the sim's GCS routes by
+    ``hash_key(key) % num_shards``).
 
     Depends only on the key bytes — never on process state — so routing is
     stable across driver restarts (property-tested in ``tests/test_gcs.py``).
     """
-    return hash_key(key) % num_shards
+    if isinstance(key, BaseID):
+        return int(key.hex[:8], 16)
+    digest = hashlib.sha1(str(key).encode("utf-8")).hexdigest()
+    return int(digest[:8], 16)

@@ -122,15 +122,9 @@ class LocalRuntime:
         self,
         cluster: Optional[ClusterSpec] = None,
         seed: int = 0,
-        control_shards: int = 8,
         tracing: bool = False,
     ) -> None:
         self.cluster = cluster or ClusterSpec.uniform(num_nodes=1, num_cpus=4)
-        if not isinstance(control_shards, int) or control_shards < 1:
-            raise BackendError(
-                f"invalid init option control_shards={control_shards!r} for "
-                "backend 'local'; must be a positive integer"
-            )
         #: Every task is placed globally (most free slots; threads share
         #: one address space, so there is no locality to score and no
         #: queue worth stealing from under the GIL).  The scheduling
@@ -144,7 +138,7 @@ class LocalRuntime:
         self._obs = SpanCollector(enabled=self.tracing)
         self.ids = IDGenerator(namespace=f"repro-local/{seed}")
         self.closed = False
-        self._control = ControlStore(num_shards=control_shards)
+        self._control = ControlStore()
         self._control.register_generation()
 
         self._lock = threading.RLock()

@@ -111,7 +111,7 @@ from repro.proc import messages as msg
 from repro.proc.messages import ShmDescriptor, SlotRef
 from repro.proc.transport import PipeTransport
 from repro.proc.worker import worker_main
-from repro.scheduling.policies import PlacementPolicy, SpilloverPolicy, StealPolicy
+from repro.scheduling.policies import PlacementPolicy, StealPolicy
 from repro.sched_plane import (
     LocalTaskQueue,
     ResidencyTracker,
@@ -136,6 +136,12 @@ from repro.utils.serialization import (
 
 #: Valid values of the ``worker_crash_policy`` init option.
 CRASH_POLICIES = ("replace", "fail")
+
+#: The driver tier's placement and steal policies, at their defaults
+#: (policy ablations live in the sim).  Each worker builds its own
+#: spillover policy.
+_PLACEMENT = PlacementPolicy()
+_STEAL = StealPolicy()
 
 #: How long an idle service thread sleeps between steal-opportunity
 #: re-checks, and how often a driver thread serving a blocked worker
@@ -234,10 +240,6 @@ class ProcRuntime:
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
         worker_cache_bytes: int = 64 * 1024**2,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
-        placement_policy: Optional[PlacementPolicy] = None,
-        spillover_policy: Optional[SpilloverPolicy] = None,
-        steal_policy: Optional[StealPolicy] = None,
-        control_shards: int = 8,
         control_store: Optional[ControlStore] = None,
         recover: bool = False,
         tracing: bool = False,
@@ -268,24 +270,19 @@ class ProcRuntime:
                 "the shared-memory data plane)"
             )
         #: The control plane (the paper's GCS): lineage, object directory,
-        #: actor registry, scheduler-visible state — hash-sharded behind
-        #: striped locks instead of hanging off the driver lock.  A store
-        #: passed in from outside outlives this runtime (driver HA).
+        #: actor registry, scheduler-visible state — behind the store's own
+        #: lock instead of hanging off the driver lock.  A store passed in
+        #: from outside outlives this runtime (driver HA).
         if control_store is not None:
             self._control = control_store
             self._owns_control = False
         else:
-            if not isinstance(control_shards, int) or control_shards < 1:
-                raise BackendError(
-                    f"invalid init option control_shards={control_shards!r} "
-                    "for backend 'proc'; must be a positive integer"
-                )
             if recover:
                 raise BackendError(
                     "recover=True requires control_store= (the store that "
                     "outlived the failed driver)"
                 )
-            self._control = ControlStore(num_shards=control_shards)
+            self._control = ControlStore()
             self._owns_control = True
         self._recover_requested = recover
         #: Generation salt: a recovered driver must never mint an id the
@@ -300,13 +297,8 @@ class ProcRuntime:
         self._crash_policy = worker_crash_policy
         self._inline_threshold = inline_threshold
         self._worker_cache_bytes = worker_cache_bytes
-        #: The scheduling plane (see repro.sched_plane): the driver
-        #: tier's placement/steal policies, the worker tier's spillover
-        #: policy (shipped to every worker at spawn), residency for
-        #: locality scoring, and the stats()["sched"] counters.
-        self._placement_policy = placement_policy or PlacementPolicy()
-        self._spillover_policy = spillover_policy
-        self._steal_policy = steal_policy or StealPolicy()
+        #: The scheduling plane (see repro.sched_plane): residency for
+        #: locality scoring and the stats()["sched"] counters.
         self._residency = ResidencyTracker()
         self._sched = SchedCounters()
         #: The tracing plane (repro.obs): driver-local spans plus every
@@ -513,13 +505,11 @@ class ProcRuntime:
                     locality_bytes=self._residency.locality_bytes(
                         worker.index,
                         dependencies,
-                        self._placement_policy.max_locality_lookups,
+                        _PLACEMENT.max_locality_lookups,
                     ),
                 )
             )
-        chosen = plan_placement(
-            spec, candidates, self._placement_policy, self._sched
-        )
+        chosen = plan_placement(spec, candidates, _PLACEMENT, self._sched)
         home = self._by_node.get(chosen) if chosen is not None else None
         if home is None or not home.alive:
             self._queue.append(spec)
@@ -1038,7 +1028,7 @@ class ProcRuntime:
             args=(
                 child_conn, index, self.seed, self._worker_cache_bytes,
                 self._shm is not None, self._inline_threshold,
-                self._spawn_count, self._spillover_policy, self.tracing,
+                self._spawn_count, self.tracing,
             ),
             name=f"repro-proc-worker-{index}",
             daemon=True,
@@ -1224,8 +1214,6 @@ class ProcRuntime:
         protocol — placed queues live on the driver, so the raid is a
         deque pop.  An idle owner is never raided: the notify that woke
         the thief woke the owner too, and it drains its own queue."""
-        if not self._steal_policy.enabled:
-            return None
         victim = None
         for worker in self._workers:
             if worker is None or worker is thief or not worker.alive:
@@ -1262,8 +1250,6 @@ class ProcRuntime:
         re-homes the tasks through the global queue, and the service
         thread can then inject them back reentrantly — which is how a
         worker blocked on its own locally-born tasks unwedges itself."""
-        if not self._steal_policy.enabled:
-            return False
         victim = None
         for worker in self._workers:
             if worker is None or not worker.alive:
@@ -1272,7 +1258,7 @@ class ProcRuntime:
                 continue
             if not worker.busy or worker.steal_outstanding:
                 continue
-            if not self._steal_policy.should_steal(len(worker.mirror)):
+            if not _STEAL.should_steal(len(worker.mirror)):
                 continue
             if victim is None or len(worker.mirror) > len(victim.mirror):
                 victim = worker
@@ -1284,7 +1270,7 @@ class ProcRuntime:
                 victim,
                 (
                     msg.STEAL_REQUEST,
-                    self._steal_policy.batch_size(len(victim.mirror)),
+                    _STEAL.batch_size(len(victim.mirror)),
                 ),
             )
         except OSError:

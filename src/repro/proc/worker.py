@@ -262,7 +262,6 @@ class ProcWorker:
         shm_enabled: bool = False,
         inline_threshold: Optional[int] = None,
         spawn_token: int = 0,
-        spillover_policy: Optional[SpilloverPolicy] = None,
         tracing: bool = False,
     ) -> None:
         # Spawn ships a raw pipe Connection (the only picklable channel);
@@ -288,9 +287,7 @@ class ProcWorker:
         # primary rebalancer is work stealing (idle workers pull), so
         # spillover only guards against a worker hoarding an enormous
         # fan-out the pool provably cannot drain behind it.
-        self.spillover = spillover_policy or SpilloverPolicy(
-            mode="hybrid", queue_threshold=512.0
-        )
+        self.spillover = SpilloverPolicy(mode="hybrid", queue_threshold=512.0)
         #: The bottom tier of the scheduling plane: the run queue this
         #: process is the sole executor of.
         self.local_queue = LocalTaskQueue()
@@ -984,7 +981,6 @@ def worker_main(
     shm_enabled: bool = False,
     inline_threshold: Optional[int] = None,
     spawn_token: int = 0,
-    spillover_policy: Optional[SpilloverPolicy] = None,
     tracing: bool = False,
 ) -> None:
     """Entry point of a worker child process (importable for spawn)."""
@@ -996,6 +992,5 @@ def worker_main(
         shm_enabled=shm_enabled,
         inline_threshold=inline_threshold,
         spawn_token=spawn_token,
-        spillover_policy=spillover_policy,
         tracing=tracing,
     ).run()

@@ -13,11 +13,12 @@ task globally).  The mechanism has two tiers:
   bottom-up fast path); the driver learns about it asynchronously, for
   lineage only.
 * **Driver tier** — everything else (driver-born work, worker spillover,
-  crash re-homing) is placed by the driver through the *same* pluggable
-  policies the simulator ablates (:class:`~repro.scheduling.policies.
+  crash re-homing) is placed by the driver through the *same* policy
+  classes the simulator ablates (:class:`~repro.scheduling.policies.
   SpilloverPolicy`, :class:`~repro.scheduling.policies.PlacementPolicy`),
-  with locality scores computed from a :class:`ResidencyTracker` of which
-  worker already holds which argument bytes.
+  here fixed at their defaults, with locality scores computed from a
+  :class:`ResidencyTracker` of which worker already holds which argument
+  bytes.
 * **Work stealing** — idle workers pull from the tails of busy workers'
   queues (:class:`~repro.scheduling.policies.StealPolicy`), so a fan-out
   kept local by the fast path still spreads across the pool.

@@ -150,7 +150,6 @@ class StealPolicy:
     imbalance per round without ping-ponging tasks.
     """
 
-    enabled: bool = True
     min_victim_backlog: int = 1
     max_batch: int = 0
 
@@ -163,7 +162,7 @@ class StealPolicy:
             raise ValueError(f"max_batch must be >= 0, got {self.max_batch}")
 
     def should_steal(self, victim_backlog: int) -> bool:
-        return self.enabled and victim_backlog >= self.min_victim_backlog
+        return victim_backlog >= self.min_victim_backlog
 
     def batch_size(self, victim_backlog: int) -> int:
         """How many tasks one steal may take from this victim."""

@@ -6,7 +6,7 @@ expanded post-hoc into the full story of the failing task — which node ran
 it, how many attempts it made, what it depended on — without re-running
 anything (R7).
 
-The lookups go through the uniform shard API: live backends expose the
+The lookups go through the uniform table API: live backends expose the
 real :class:`~repro.gcs.ControlStore` (``runtime._control``), the sim
 keeps its modeled :class:`~repro.store.control_plane.ControlPlane` —
 both answer the same entry shapes (shared dataclasses in

@@ -36,9 +36,6 @@ CONFIGS = {
     # parity program must not be able to tell it is running across
     # process *and* node boundaries.
     "dist": ("dist", {}),
-    # Sharded control store with a non-default (odd) stripe count: the
-    # program must be oblivious to how its control state is partitioned.
-    "proc+sharded_control": ("proc", {"control_shards": 3}),
 }
 
 
@@ -363,7 +360,7 @@ def test_same_program_same_results(program_outcomes, config):
 
 def test_control_stats_keys_identical_across_backends():
     """Every backend reports the same ``stats()["control"]`` schema: the
-    uniform window into the (modeled or real) sharded control store."""
+    uniform window into the (modeled or real) control store."""
     key_sets = {}
     for backend in BACKENDS:
         repro.init(backend=backend, num_nodes=1, num_cpus=2, seed=3)

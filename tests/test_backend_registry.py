@@ -97,8 +97,15 @@ def test_unknown_init_kwarg_rejected_with_name_and_options(backend):
     """Misspelled init options must fail loudly (they used to be silently
     swallowed by the local backend's ``**_ignored``), naming the offending
     kwarg and listing the backend's valid options.  ``dispatch_mode`` is
-    no option anywhere: every backend has exactly one dispatch plane."""
-    for option in ("definitely_not_an_option", "dispatch_mode"):
+    no option anywhere: every backend has exactly one dispatch plane.
+    Nor are ``control_shards`` (the live control store has one lock) and
+    ``steal_policy``; ``placement_policy`` and ``spillover_policy`` are
+    sim-only ablation options."""
+    options = ["definitely_not_an_option", "dispatch_mode", "control_shards",
+               "steal_policy"]
+    if backend != "sim":
+        options += ["placement_policy", "spillover_policy"]
+    for option in options:
         with pytest.raises(BackendError) as excinfo:
             repro.init(backend=backend, **{option: "driver"})
         message = str(excinfo.value)

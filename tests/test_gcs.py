@@ -1,25 +1,20 @@
-"""Unit tests for the real sharded control store (repro.gcs).
+"""Unit tests for the real control store (repro.gcs).
 
-Covers the shared table rows, shard routing stability (the property the
-paper leans on: "since the keys are computed as hashes, sharding is
-straightforward"), the sync/async write split, the per-shard WAL, and the
-recovery planner.
+Covers the shared table rows, the stability of the sim's shard routing
+(the property the paper leans on: "since the keys are computed as hashes,
+sharding is straightforward"), the sync/async write split, the WAL, and
+the recovery planner.
 """
 
 import os
+import sys
 import threading
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gcs import (
-    ControlStore,
-    hash_key,
-    plan_recovery,
-    shard_of,
-)
-from repro.gcs.store import _LEN
+from repro.gcs import ControlStore, hash_key, plan_recovery
+from repro.gcs.store import _LEN, WAL_FILE
 from repro.utils.ids import ActorID, IDGenerator, ObjectID, TaskID
 
 
@@ -33,32 +28,21 @@ def make_ids(seed=0):
 
 
 class TestShardRouting:
-    def test_shard_of_in_range(self):
+    """The sim's control plane routes a key to ``hash_key(key) % n``."""
+
+    def test_hash_routing_in_range(self):
         ids = make_ids()
         for _ in range(100):
-            assert 0 <= shard_of(ids.task_id(), 7) < 7
+            assert 0 <= hash_key(ids.task_id()) % 7 < 7
 
     def test_id_and_string_keys_both_route(self):
-        assert isinstance(shard_of(TaskID.from_seed("x"), 4), int)
-        assert isinstance(shard_of("some-actor-name", 4), int)
+        assert isinstance(hash_key(TaskID.from_seed("x")) % 4, int)
+        assert isinstance(hash_key("some-actor-name") % 4, int)
 
     def test_routing_matches_id_shard_index(self):
-        # The store and the IDs themselves must agree on the hash.
+        # The control plane and the IDs themselves must agree on the hash.
         oid = ObjectID.from_seed("k")
-        assert shard_of(oid, 13) == oid.shard_index(13)
-
-    def test_routing_ignores_store_instance(self):
-        a = ControlStore(num_shards=5)
-        b = ControlStore(num_shards=5)
-        ids = make_ids()
-        keys = [ids.object_id() for _ in range(50)]
-        try:
-            assert [a.shard_index(k) for k in keys] == [
-                b.shard_index(k) for k in keys
-            ]
-        finally:
-            a.close()
-            b.close()
+        assert hash_key(oid) % 13 == oid.shard_index(13)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.text(min_size=1, max_size=64), shards=st.integers(1, 64))
@@ -70,14 +54,13 @@ class TestShardRouting:
         for _ in range(5):
             t1, t2 = first_gen.task_id(), second_gen.task_id()
             assert t1 == t2
-            assert shard_of(t1, shards) == shard_of(t2, shards)
-            assert hash_key(t1) == hash_key(t2)
+            assert hash_key(t1) % shards == hash_key(t2) % shards
 
     @settings(max_examples=100, deadline=None)
     @given(key=st.text(min_size=1, max_size=128))
     def test_property_string_keys_route_identically(self, key):
-        assert shard_of(key, 9) == shard_of(key, 9)
-        assert 0 <= shard_of(key, 9) < 9
+        assert hash_key(key) % 9 == hash_key(key) % 9
+        assert 0 <= hash_key(key) % 9 < 9
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +70,7 @@ class TestShardRouting:
 
 class TestControlStoreTables:
     def test_task_put_and_get(self):
-        store = ControlStore(num_shards=4)
+        store = ControlStore()
         ids = make_ids()
         tid = ids.task_id()
         store.task_put(tid, {"spec": "s"}, node="n1")
@@ -99,7 +82,7 @@ class TestControlStoreTables:
         store.close()
 
     def test_task_update_transitions_and_attempts(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         tid = make_ids().task_id()
         store.task_put(tid, None)
         store.task_update(tid, state="running", node="n2")
@@ -111,7 +94,7 @@ class TestControlStoreTables:
         store.close()
 
     def test_task_resubmission_keeps_attempts(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         tid = make_ids().task_id()
         store.task_put(tid, "v1")
         store.task_update(tid, attempt=True)
@@ -122,7 +105,7 @@ class TestControlStoreTables:
         store.close()
 
     def test_object_put_merges_fields(self):
-        store = ControlStore(num_shards=4)
+        store = ControlStore()
         ids = make_ids()
         oid, tid = ids.object_id(), ids.task_id()
         store.object_put(oid, size=10, location="node-0", producer_task=tid)
@@ -140,7 +123,7 @@ class TestControlStoreTables:
         store.close()
 
     def test_actor_registry_and_name_index(self):
-        store = ControlStore(num_shards=4)
+        store = ControlStore()
         aid = make_ids().actor_id()
         store.actor_register(aid, spec={"class_name": "C"}, name="counter")
         assert store.actor_by_name("counter") == aid
@@ -152,7 +135,7 @@ class TestControlStoreTables:
         store.close()
 
     def test_snapshot_is_a_copy(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         oid = make_ids().object_id()
         store.object_put(oid, location="a", ready=True)
         snap = store.snapshot()
@@ -161,7 +144,7 @@ class TestControlStoreTables:
         store.close()
 
     def test_events_are_ordered_and_kind_filterable(self):
-        store = ControlStore(num_shards=4)
+        store = ControlStore()
         ids = make_ids()
         for _ in range(10):
             store.task_put(ids.task_id(), None)
@@ -179,7 +162,7 @@ class TestControlStoreTables:
 
 class TestAsyncWrites:
     def test_async_ops_apply_after_flush(self):
-        store = ControlStore(num_shards=4)
+        store = ControlStore()
         ids = make_ids()
         tid, oid = ids.task_id(), ids.object_id()
         store.async_task_put(tid, "spec")
@@ -194,7 +177,7 @@ class TestAsyncWrites:
     def test_pause_freezes_async_writes_but_not_sync(self):
         """Models a driver dying with async control writes in flight: the
         sync write-ahead ``task_put`` is visible, the async update is not."""
-        store = ControlStore(num_shards=4)
+        store = ControlStore()
         tid = make_ids().task_id()
         store.pause_async_writes()
         store.task_put(tid, "spec")              # sync: applies immediately
@@ -207,8 +190,10 @@ class TestAsyncWrites:
         store.close()
 
     def test_concurrent_writers_land_every_op(self):
-        store = ControlStore(num_shards=8)
-        per_thread = 50
+        """More writers than cores, switching often: the one lock must
+        lose no table row, event, or op count."""
+        store = ControlStore()
+        per_thread, writers = 50, 8
 
         def writer(worker):
             ids = IDGenerator(namespace=f"w{worker}")
@@ -216,27 +201,35 @@ class TestAsyncWrites:
                 store.task_put(ids.task_id(), None)
 
         threads = [
-            threading.Thread(target=writer, args=(i,)) for i in range(4)
+            threading.Thread(target=writer, args=(i,)) for i in range(writers)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(store.tasks()) == 4 * per_thread
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = writers * per_thread
+        assert len(store.tasks()) == total
+        assert len(store.events("task_submitted")) == total
         stats = store.stats()
-        assert stats["ops_total"] >= 4 * per_thread
+        assert stats["ops_total"] >= total
         store.close()
 
 
 # ----------------------------------------------------------------------
-# Durability: per-shard WAL
+# Durability: WAL
 # ----------------------------------------------------------------------
 
 
 class TestWal:
     def test_wal_replay_rebuilds_tables(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
-        store = ControlStore(num_shards=4, wal_dir=wal_dir)
+        store = ControlStore(wal_dir=wal_dir)
         ids = make_ids()
         tid, oid, aid = ids.task_id(), ids.object_id(), ids.actor_id()
         store.task_put(tid, {"f": "g"}, node="n0")
@@ -256,7 +249,7 @@ class TestWal:
 
     def test_wal_sync_mode_writes_identically(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
-        store = ControlStore(num_shards=2, wal_dir=wal_dir, wal_sync=True)
+        store = ControlStore(wal_dir=wal_dir, wal_sync=True)
         tid = make_ids().task_id()
         store.task_put(tid, "spec")
         store.close()
@@ -266,12 +259,12 @@ class TestWal:
 
     def test_torn_tail_record_is_ignored(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
-        store = ControlStore(num_shards=1, wal_dir=wal_dir)
+        store = ControlStore(wal_dir=wal_dir)
         ids = make_ids()
         first = ids.task_id()
         store.task_put(first, "ok")
         store.close()
-        path = os.path.join(wal_dir, "shard-00.wal")
+        path = os.path.join(wal_dir, WAL_FILE)
         with open(path, "ab") as fh:  # a crash cut the next record short
             fh.write(_LEN.pack(10_000) + b"partial")
         replayed = ControlStore.open(wal_dir)
@@ -279,9 +272,23 @@ class TestWal:
         assert len(replayed.tasks()) == 1
         replayed.close()
 
+    def test_replay_keeps_apply_order(self, tmp_path):
+        """One log in apply order: a store rebuilt from its WAL lists its
+        events in the same order as the store that wrote it."""
+        wal_dir = str(tmp_path / "wal")
+        store = ControlStore(wal_dir=wal_dir)
+        ids = make_ids()
+        for _ in range(8):
+            store.task_put(ids.task_id(), None)
+        original = [r.get("key") for r in store.events("task_submitted")]
+        store.close()
+        replayed = ControlStore.open(wal_dir)
+        assert [r.get("key") for r in replayed.events("task_submitted")] == original
+        replayed.close()
+
     def test_replay_does_not_reappend(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
-        store = ControlStore(num_shards=2, wal_dir=wal_dir)
+        store = ControlStore(wal_dir=wal_dir)
         store.task_put(make_ids().task_id(), "x")
         store.close()
         sizes = {
@@ -313,25 +320,20 @@ class TestStatsAndGenerations:
     }
 
     def test_stats_schema(self):
-        store = ControlStore(num_shards=3)
+        store = ControlStore()
         store.task_put(make_ids().task_id(), None)
         stats = store.stats()
         assert set(stats) == self.UNIFORM_KEYS
-        assert stats["num_shards"] == 3
-        assert len(stats["ops_per_shard"]) == 3
-        assert sum(stats["ops_per_shard"]) == stats["ops_total"]
+        assert stats["num_shards"] == 1
+        assert stats["ops_per_shard"] == [stats["ops_total"]]
         store.close()
 
     def test_generations_are_monotonic(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         assert store.register_generation() == 1
         assert store.register_generation() == 2
         assert store.generation == 2
         store.close()
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            ControlStore(num_shards=0)
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +354,7 @@ class _FakeSpec:
 
 class TestRecoveryPlanner:
     def test_recovered_vs_pending_split(self):
-        store = ControlStore(num_shards=4)
+        store = ControlStore()
         ids = make_ids()
         done_oid, lost_oid = ids.object_id(), ids.object_id()
         done = _FakeSpec(ids.task_id(), [done_oid])
@@ -369,7 +371,7 @@ class TestRecoveryPlanner:
         store.close()
 
     def test_worker_born_wrapper_is_unwrapped(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         ids = make_ids()
         spec = _FakeSpec(ids.task_id(), [ids.object_id()])
         store.task_put(spec.task_id, {"spec": spec, "payload": {"wire": 1}})
@@ -379,7 +381,7 @@ class TestRecoveryPlanner:
         store.close()
 
     def test_ready_without_payload_or_producer_is_unrecoverable(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         oid = make_ids().object_id()
         store.object_put(oid, size=1 << 20, location="driver", ready=True)
         plan = plan_recovery(store)
@@ -387,7 +389,7 @@ class TestRecoveryPlanner:
         store.close()
 
     def test_partial_returns_resubmit_whole_task(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         ids = make_ids()
         a, b = ids.object_id(), ids.object_id()
         spec = _FakeSpec(ids.task_id(), [a, b])
@@ -400,7 +402,7 @@ class TestRecoveryPlanner:
         store.close()
 
     def test_flush_happens_before_planning(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         ids = make_ids()
         oid = ids.object_id()
         spec = _FakeSpec(ids.task_id(), [oid])
@@ -412,7 +414,7 @@ class TestRecoveryPlanner:
         store.close()
 
     def test_actors_carried_into_plan(self):
-        store = ControlStore(num_shards=2)
+        store = ControlStore()
         aid = make_ids().actor_id()
         store.actor_register(aid, spec={"class_name": "A"}, name="a")
         plan = plan_recovery(store)

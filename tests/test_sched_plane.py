@@ -186,10 +186,6 @@ class TestStealPolicy:
         assert policy.batch_size(100) == 3
         assert policy.batch_size(4) == 2
 
-    def test_disabled_never_steals(self):
-        policy = StealPolicy(enabled=False)
-        assert not policy.should_steal(100)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="min_victim_backlog"):
             StealPolicy(min_victim_backlog=0)
